@@ -8,31 +8,35 @@
 #   1.  Project lint (rdfrel-lint, DESIGN.md §15): fixture harness plus a
 #       full sweep of the compile database enforcing arena-escape,
 #       blocking-under-lock, borrowed-batch, and status-discipline.
-#   2.  ThreadSanitizer build, running the concurrency + plan-cache tests
+#   2.  Flake gate: the plain build runs the differential, reference-
+#       evaluator, lint-suppression and join-boundary tests under
+#       `ctest -j --repeat until-fail:5`, so order- and temp-file races
+#       between parallel test processes fail CI instead of a later run.
+#   3.  ThreadSanitizer build, running the concurrency + plan-cache tests
 #       (the reader/writer stress test is the point of this build), the
 #       morsel-driven parallel executor suite (ParallelTest): dispenser /
 #       shared-build / arena primitives plus serial-vs-parallel
 #       differentials, so executor data races fail the gate — the Serve
 #       suite, so the endpoint's worker pool races fail it too — and the
 #       ShardTest suite, so scatter-gather coordinator races fail it.
-#   3.  Debug + AddressSanitizer build, running the full ctest suite.
-#   4.  UndefinedBehaviorSanitizer build with recovery disabled, running
+#   4.  Debug + AddressSanitizer build, running the full ctest suite.
+#   5.  UndefinedBehaviorSanitizer build with recovery disabled, running
 #       the full suite: any UB (signed overflow, bad shifts, misaligned
 #       or null access, ...) aborts the test instead of logging.
-#   5.  Crash-recovery gate: the PersistTest suites (WAL framing, snapshot
+#   6.  Crash-recovery gate: the PersistTest suites (WAL framing, snapshot
 #       CRCs, kill-at-any-point fault injection, snapshot fallback) run
 #       explicitly under both Debug+ASan and UBSan, so a durability
 #       regression is named in the output rather than buried in a full run.
-#   6.  Serve smoke: the HTTP endpoint walkthrough (examples/serve_demo
+#   7.  Serve smoke: the HTTP endpoint walkthrough (examples/serve_demo
 #       --smoke) starts a real server, queries it over a socket, and shuts
 #       it down cleanly — under ASan, so leaked fds/threads/buffers in the
 #       serving path fail the gate.
-#   7.  Shard smoke: the sharded scatter-gather walkthrough
+#   8.  Shard smoke: the sharded scatter-gather walkthrough
 #       (examples/shard_demo smoke) checks the canonical merge order across
 #       shard counts and a persistence round trip (routed insert,
 #       multi-shard checkpoint, reopen) — under ASan, so leaks in the
 #       coordinator/gather path fail the gate.
-#   8.  Release bench smoke: bench_micro_star and bench_serve at a reduced
+#   9.  Release bench smoke: bench_micro_star and bench_serve at a reduced
 #       scale must run to completion and emit machine-readable
 #       BENCH_sql.json / BENCH_serve.json.
 #
@@ -45,11 +49,11 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "== [0/8] Clang thread-safety analysis =="
+echo "== [0/9] Clang thread-safety analysis =="
 scripts/check_thread_safety.sh
 
 echo
-echo "== [1/8] Project lint: rdfrel-lint fixtures + src/ sweep =="
+echo "== [1/9] Project lint: rdfrel-lint fixtures + src/ sweep =="
 # lint.sh builds the tool from the default build tree; configure it first
 # so the compile database exists even on a fresh checkout.
 if [[ ! -f build/compile_commands.json ]]; then
@@ -58,7 +62,13 @@ fi
 scripts/lint.sh
 
 echo
-echo "== [2/8] ThreadSanitizer: concurrency + parallel + serve + shard =="
+echo "== [2/9] Flake gate: repeated parallel runs of race-prone tests =="
+cmake --build build -j"${JOBS}"
+(cd build && ctest --output-on-failure -j"${JOBS}" --repeat until-fail:5 \
+    -R 'Differential|Reference|Suppression|JoinBoundary')
+
+echo
+echo "== [3/9] ThreadSanitizer: concurrency + parallel + serve + shard =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRDFREL_SANITIZE=thread > /dev/null
@@ -72,7 +82,7 @@ cmake --build build-tsan -j"${JOBS}" \
     -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|ParallelTest|Serve|ShardTest')
 
 echo
-echo "== [3/8] Debug + AddressSanitizer: full suite =="
+echo "== [4/9] Debug + AddressSanitizer: full suite =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRDFREL_SANITIZE=address > /dev/null
@@ -80,7 +90,7 @@ cmake --build build-asan -j"${JOBS}"
 (cd build-asan && ctest --output-on-failure -j"${JOBS}")
 
 echo
-echo "== [4/8] UndefinedBehaviorSanitizer: full suite =="
+echo "== [5/9] UndefinedBehaviorSanitizer: full suite =="
 cmake -B build-ubsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRDFREL_SANITIZE=undefined > /dev/null
@@ -90,14 +100,14 @@ cmake --build build-ubsan -j"${JOBS}"
 (cd build-ubsan && ctest --output-on-failure -j"${JOBS}")
 
 echo
-echo "== [5/8] Crash-recovery gate: PersistTest under ASan and UBSan =="
+echo "== [6/9] Crash-recovery gate: PersistTest under ASan and UBSan =="
 # The trees were built above; this re-runs just the persistence layer so
 # durability failures surface as their own stage.
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" -R 'PersistTest')
 (cd build-ubsan && ctest --output-on-failure -j"${JOBS}" -R 'PersistTest')
 
 echo
-echo "== [6/8] Serve smoke: HTTP endpoint under ASan =="
+echo "== [7/9] Serve smoke: HTTP endpoint under ASan =="
 # serve_demo --smoke starts a server on an ephemeral port, runs GET/POST
 # queries, a deadline query, a malformed query, and /stats over a real
 # socket, then stops the server; ASan turns any leak in the serving path
@@ -106,7 +116,7 @@ cmake --build build-asan -j"${JOBS}" --target serve_demo
 ./build-asan/examples/serve_demo --smoke
 
 echo
-echo "== [7/8] Shard smoke: scatter-gather + manifest round trip under ASan =="
+echo "== [8/9] Shard smoke: scatter-gather + manifest round trip under ASan =="
 # shard_demo smoke loads the built-in graph at shard counts {1,3}, checks
 # the canonical merge order is identical, then routes an insert, takes a
 # multi-shard checkpoint and reopens the directory.
@@ -114,7 +124,7 @@ cmake --build build-asan -j"${JOBS}" --target shard_demo
 ./build-asan/examples/shard_demo smoke
 
 echo
-echo "== [8/8] Release bench smoke: BENCH_sql.json + BENCH_serve.json =="
+echo "== [9/9] Release bench smoke: BENCH_sql.json + BENCH_serve.json =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j"${JOBS}" --target bench_micro_star bench_serve
 (cd build-release &&

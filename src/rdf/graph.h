@@ -38,6 +38,9 @@ class Graph {
 
   uint64_t size() const { return triples_.size(); }
 
+  /// Distinct triples (exact (s, p, o) equality) in insertion order of
+  /// first occurrence: the RDF set view that loaders store.
+  std::vector<EncodedTriple> DistinctTriples() const;
   /// Distinct subject ids in insertion order of first occurrence.
   std::vector<uint64_t> DistinctSubjects() const;
   /// Distinct object ids in insertion order of first occurrence.

@@ -63,45 +63,23 @@ Status Database::QueryStreaming(
   const ExecControl* control = exec.control;
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(
-      OperatorPtr op,
-      PlanSelect(catalog_, *stmt, &env, exec_mode_, control, &exec));
-  op->SetExecMode(exec_mode_);
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
+                          PlanSelect(catalog_, *stmt, &env, control, &exec));
   if (control != nullptr) op->SetControl(control);
   RDFREL_RETURN_NOT_OK(op->Open());
   if (columns != nullptr) *columns = op->scope().Names();
   RowBatch batch;
-  if (exec_mode_ == ExecMode::kBatch) {
-    while (true) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
-      if (!has) break;
-      if (batch.ActiveSize() == 0) continue;
-      RDFREL_RETURN_NOT_OK(on_batch(batch));
-    }
-    return Status::OK();
-  }
-  // Row mode: drive the Volcano surface and regroup into batches so the
-  // row-vs-batch differential tests cover the streaming path too.
   while (true) {
-    batch.Reset();
-    while (!batch.Full()) {
-      Row* slot = batch.AddRow();
-      RDFREL_ASSIGN_OR_RETURN(bool has, op->Next(slot));
-      if (!has) {
-        batch.PopRow();
-        break;
-      }
-    }
-    if (batch.size() == 0) break;
-    const bool last = !batch.Full();
+    RDFREL_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
+    if (!has) break;
+    if (batch.ActiveSize() == 0) continue;
     RDFREL_RETURN_NOT_OK(on_batch(batch));
-    if (last) break;
   }
   return Status::OK();
 }
 
 Result<QueryResult> Database::QueryAst(const ast::SelectStmt& stmt) {
-  RDFREL_ASSIGN_OR_RETURN(auto mat, RunSelect(catalog_, stmt, exec_mode_));
+  RDFREL_ASSIGN_OR_RETURN(auto mat, RunSelect(catalog_, stmt));
   QueryResult qr;
   qr.columns = mat->scope.Names();
   qr.rows = std::move(mat->rows);
@@ -113,17 +91,12 @@ Result<QueryResult> Database::QueryProfiled(std::string_view sql,
                                             const ExecOptions* exec) {
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
-  RDFREL_ASSIGN_OR_RETURN(
-      OperatorPtr op,
-      PlanSelect(catalog_, *stmt, &env, exec_mode_,
-                 exec != nullptr ? exec->control : nullptr, exec));
-  op->SetExecMode(exec_mode_);
-  if (exec != nullptr && exec->control != nullptr) {
-    op->SetControl(exec->control);
-  }
+  const ExecControl* control = exec != nullptr ? exec->control : nullptr;
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
+                          PlanSelect(catalog_, *stmt, &env, control, exec));
   op->EnableTiming(true);
   RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                          CollectRows(op.get(), exec_mode_));
+                          CollectRows(op.get(), control));
   QueryResult qr;
   qr.columns = op->scope().Names();
   qr.rows = std::move(rows);

@@ -328,18 +328,6 @@ Result<bool> ExchangeOp::NextBatchImpl(RowBatch* out) {
   }
 }
 
-Result<bool> ExchangeOp::NextImpl(Row* out) {
-  while (true) {
-    if (current_.has_value() && serve_pos_ < current_->size()) {
-      *out = (*current_)[serve_pos_++];
-      return true;
-    }
-    bool done = false;
-    RDFREL_RETURN_NOT_OK(AwaitNextBuffer(&done));
-    if (done) return false;
-  }
-}
-
 std::string ExchangeOp::StatsSuffix() const {
   uint64_t dispatched = 0;
   {

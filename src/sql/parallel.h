@@ -196,7 +196,6 @@ class RDFREL_QUERY_SCOPED ExchangeOp final : public Operator {
   std::string StatsSuffix() const override;
 
  protected:
-  Result<bool> NextImpl(Row* out) override;
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:

@@ -53,12 +53,10 @@ class CorePlanner {
   using SubqueryCache =
       std::map<const void*, std::shared_ptr<const Materialized>>;
 
-  CorePlanner(const Catalog& catalog, CteEnv* env, ExecMode mode,
-              const ExecControl* control,
+  CorePlanner(const Catalog& catalog, CteEnv* env, const ExecControl* control,
               SubqueryCache* subq_cache = nullptr)
       : catalog_(catalog),
         env_(env),
-        mode_(mode),
         control_(control),
         subq_cache_(subq_cache) {}
 
@@ -391,11 +389,11 @@ class CorePlanner {
           return src;
         }
       }
-      RDFREL_ASSIGN_OR_RETURN(OperatorPtr sub,
-                              PlanSelect(catalog_, *item.subquery, env_,
-                                         mode_, control_));
+      RDFREL_ASSIGN_OR_RETURN(
+          OperatorPtr sub,
+          PlanSelect(catalog_, *item.subquery, env_, control_));
       RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                              CollectRows(sub.get(), mode_, control_));
+                              CollectRows(sub.get(), control_));
       auto mat = std::make_shared<Materialized>();
       mat->scope = sub->scope();
       mat->rows = std::move(rows);
@@ -708,8 +706,7 @@ class CorePlanner {
 
   const Catalog& catalog_;
   CteEnv* env_;
-  ExecMode mode_;  ///< drive mode for subquery/CTE materialization
-  const ExecControl* control_;  ///< cancellation for those materializations
+  const ExecControl* control_;  ///< cancellation for subquery materialization
   SubqueryCache* subq_cache_;   ///< shared across pipeline clones (may be null)
   std::vector<ast::ExprPtr> owned_;
 };
@@ -756,15 +753,15 @@ struct CoreKeepalive {
 /// Falls back to the exact serial plan otherwise. \p *keepalive receives
 /// ownership anchors the returned tree borrows from.
 Result<OperatorPtr> PlanCoreWithOptions(
-    const Catalog& catalog, CteEnv* env, ExecMode mode,
-    const ExecControl* control, const ExecOptions* exec,
-    const SelectCore& core, const std::vector<ast::OrderItem>* order_by,
+    const Catalog& catalog, CteEnv* env, const ExecControl* control,
+    const ExecOptions* exec, const SelectCore& core,
+    const std::vector<ast::OrderItem>* order_by,
     std::shared_ptr<void>* keepalive) {
   auto keep = std::make_shared<CoreKeepalive>();
   keep->subq_cache = std::make_shared<CorePlanner::SubqueryCache>();
   *keepalive = keep;
 
-  auto planner0 = std::make_shared<CorePlanner>(catalog, env, mode, control,
+  auto planner0 = std::make_shared<CorePlanner>(catalog, env, control,
                                                 keep->subq_cache.get());
   keep->planners.push_back(planner0);
   RDFREL_ASSIGN_OR_RETURN(OperatorPtr root0, planner0->PlanJoinTree(core));
@@ -785,8 +782,7 @@ Result<OperatorPtr> PlanCoreWithOptions(
     return planner0->FinishProjection(core, tail0, std::move(below));
   };
 
-  if (exec == nullptr || exec->max_threads <= 1 ||
-      mode != ExecMode::kBatch) {
+  if (exec == nullptr || exec->max_threads <= 1) {
     return finish(std::move(root0));
   }
 
@@ -826,7 +822,7 @@ Result<OperatorPtr> PlanCoreWithOptions(
   std::vector<ExchangeOp::Pipeline> pipelines;
   pipelines.push_back({std::move(root0), a0.driving});
   for (uint64_t i = 1; i < k; ++i) {
-    auto p = std::make_shared<CorePlanner>(catalog, env, mode, control,
+    auto p = std::make_shared<CorePlanner>(catalog, env, control,
                                            keep->subq_cache.get());
     keep->planners.push_back(p);
     RDFREL_ASSIGN_OR_RETURN(OperatorPtr r, p->PlanJoinTree(core));
@@ -855,15 +851,15 @@ Result<OperatorPtr> PlanCoreWithOptions(
 
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
-                               ExecMode mode, const ExecControl* control,
+                               const ExecControl* control,
                                const ExecOptions* exec) {
   // Materialize CTEs in order (serially: they run during planning, before
   // the parallel executor exists).
   for (const auto& cte : stmt.ctes) {
-    RDFREL_ASSIGN_OR_RETURN(
-        OperatorPtr op, PlanSelect(catalog, *cte.query, env, mode, control));
+    RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
+                            PlanSelect(catalog, *cte.query, env, control));
     RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                            CollectRows(op.get(), mode, control));
+                            CollectRows(op.get(), control));
     auto mat = std::make_shared<Materialized>();
     mat->scope = op->scope();
     mat->rows = std::move(rows);
@@ -890,7 +886,6 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
     }
 
    protected:
-    Result<bool> NextImpl(Row* out) override { return inner->Next(out); }
     Result<bool> NextBatchImpl(RowBatch* out) override {
       return inner->NextBatch(out);
     }
@@ -901,7 +896,7 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
     std::shared_ptr<void> keepalive;
     RDFREL_ASSIGN_OR_RETURN(
         OperatorPtr op,
-        PlanCoreWithOptions(catalog, env, mode, control, exec, core,
+        PlanCoreWithOptions(catalog, env, control, exec, core,
                             single_core && !stmt.order_by.empty()
                                 ? &stmt.order_by
                                 : nullptr,
@@ -953,13 +948,12 @@ Result<OperatorPtr> PlanSelect(const Catalog& catalog,
 
 Result<std::shared_ptr<Materialized>> RunSelect(const Catalog& catalog,
                                                 const ast::SelectStmt& stmt,
-                                                ExecMode mode,
                                                 const ExecControl* control) {
   CteEnv env;
   RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
-                          PlanSelect(catalog, stmt, &env, mode, control));
+                          PlanSelect(catalog, stmt, &env, control));
   RDFREL_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                          CollectRows(op.get(), mode, control));
+                          CollectRows(op.get(), control));
   auto mat = std::make_shared<Materialized>();
   mat->scope = op->scope();
   mat->rows = std::move(rows);

@@ -25,25 +25,24 @@ using CteEnv = std::map<std::string, std::shared_ptr<const Materialized>>;
 /// Plans and materializes every CTE of \p stmt into \p env (in order; later
 /// CTEs may reference earlier ones), then returns the root operator for the
 /// statement body. The returned operator tree borrows \p catalog and the
-/// materialized results in \p env; both must outlive it. \p mode drives the
-/// materialization of CTEs and subqueries during planning; \p control (when
-/// non-null) makes those materializations — which run *during planning* —
-/// honor the query's deadline/cancel token, and must outlive execution.
+/// materialized results in \p env; both must outlive it. \p control (when
+/// non-null) makes the CTE and subquery materializations — which run
+/// *during planning* — honor the query's deadline/cancel token, and must
+/// outlive execution.
 ///
-/// \p exec (when non-null, with max_threads > 1 and kBatch mode) lets the
-/// planner parallelize eligible cores: the join/projection pipeline is
-/// cloned per worker under an ExchangeOp (sql/parallel.h). Results are
-/// identical to the serial plan; \p exec must outlive execution.
+/// \p exec (when non-null, with max_threads > 1) lets the planner
+/// parallelize eligible cores: the join/projection pipeline is cloned per
+/// worker under an ExchangeOp (sql/parallel.h). Results are identical to
+/// the serial plan; \p exec must outlive execution.
 Result<OperatorPtr> PlanSelect(const Catalog& catalog,
                                const ast::SelectStmt& stmt, CteEnv* env,
-                               ExecMode mode = ExecMode::kBatch,
                                const ExecControl* control = nullptr,
                                const ExecOptions* exec = nullptr);
 
-/// Executes a planned SELECT to completion in the given drive mode.
+/// Executes a planned SELECT to completion.
 Result<std::shared_ptr<Materialized>> RunSelect(
     const Catalog& catalog, const ast::SelectStmt& stmt,
-    ExecMode mode = ExecMode::kBatch, const ExecControl* control = nullptr);
+    const ExecControl* control = nullptr);
 
 }  // namespace rdfrel::sql
 

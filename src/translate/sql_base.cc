@@ -425,10 +425,6 @@ Result<std::string> PatternSqlBuilderBase::LexAlias(
     return Status::Unsupported(
         "ordered FILTER comparison requires a lex table");
   }
-  if (!bound_.count(var)) {
-    return Status::InvalidArgument("FILTER variable ?" + var +
-                                   " is unbound");
-  }
   auto it = lex->find(var);
   if (it != lex->end()) return it->second;
   std::string alias = "L" + std::to_string(lex->size());
@@ -480,10 +476,10 @@ Result<std::string> PatternSqlBuilderBase::OperandToId(
     const sparql::FilterExpr& f) {
   using sparql::FilterOp;
   if (f.op == FilterOp::kVar) {
-    if (!bound_.count(f.var)) {
-      return Status::InvalidArgument("FILTER variable ?" + f.var +
-                                     " is unbound");
-    }
+    // A variable the pattern never binds is unbound in every solution, so
+    // a comparison on it is a SPARQL error: SQL NULL, which a WHERE drops
+    // and NOT / AND / OR propagate with the same three-valued logic.
+    if (!bound_.count(f.var)) return std::string("NULL");
     return cur_ + "." + bound_[f.var].column;
   }
   if (f.op == FilterOp::kTerm) {
@@ -505,7 +501,7 @@ Result<std::string> PatternSqlBuilderBase::EqualityToSql(
     term_side = f.lhs.get();
   }
   const char* op = f.op == FilterOp::kEq ? " = " : " <> ";
-  if (var_side != nullptr) {
+  if (var_side != nullptr && bound_.count(var_side->var)) {
     // Numeric literals compare by value via lex ("5"^^int == "5.0"^^dec).
     auto num = NumericOf(term_side->term);
     if (num.ok() && !lex_table_.empty()) {
@@ -528,6 +524,7 @@ Result<std::string> PatternSqlBuilderBase::OrderedToSql(
                                            : " >= ";
   auto side = [&](const sparql::FilterExpr& e) -> Result<std::string> {
     if (e.op == FilterOp::kVar) {
+      if (!bound_.count(e.var)) return std::string("NULL");  // see OperandToId
       RDFREL_ASSIGN_OR_RETURN(std::string alias, LexAlias(e.var, lex));
       return alias + ".num";
     }

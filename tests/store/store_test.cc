@@ -219,6 +219,19 @@ TEST_F(StoreTest, FilterEqualityAndOrdered) {
         1);
 }
 
+TEST_F(StoreTest, FilterOnNeverBoundVariableIsAnError) {
+  // ?nope appears only in the FILTER, so it is unbound in every solution:
+  // a comparison on it is a SPARQL error, which drops the row, propagates
+  // through `!`, and loses to a true operand of `||`.
+  const std::string q = std::string(kPrefix) +
+                        "SELECT ?x WHERE { ?x :born ?b . FILTER (";
+  Check(q + "?nope != \"1850\") }", 0);
+  Check(q + "?nope = ?b) }", 0);
+  Check(q + "!(?nope > 1900)) }", 0);
+  Check(q + "?nope = \"1850\" || BOUND(?b)) }", 2);
+  Check(q + "!BOUND(?nope)) }", 2);
+}
+
 TEST_F(StoreTest, FilterBoundAfterOptional) {
   // Entities with born but NO home (Flint).
   auto rs = Check(std::string(kPrefix) +
@@ -379,6 +392,46 @@ TEST_F(StoreTest, TinyKSpillStoreAnswersSame) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(Signature(*a), Signature(*b));
   EXPECT_EQ(a->size(), 1u);
+}
+
+TEST(StoreLoadTest, BaselinesKeepDistinctTriplesWithCollidingLoaderKeys) {
+  // {12070,36,12071} and {12070,42,3873} collide on the 64-bit key
+  // HashCombine(HashCombine(Mix64(s), p), o); a loader that dedupes on that
+  // key instead of the exact triple silently drops the second one.
+  auto make_graph = [] {
+    rdf::Graph g;
+    for (int i = 1; i <= 13000; ++i) {
+      g.dictionary().Encode(Term::Iri("http://e/" + std::to_string(i)));
+    }
+    g.AddEncoded({12070, 36, 12071});
+    g.AddEncoded({12070, 42, 3873});
+    g.AddEncoded({12070, 36, 12071});  // exact duplicate: collapses
+    g.AddEncoded({5, 6, 7});
+    return g;
+  };
+  const std::string q = "SELECT * WHERE { ?s ?p ?o }";
+  auto triple = TripleStoreBackend::Load(make_graph());
+  ASSERT_TRUE(triple.ok()) << triple.status().ToString();
+  auto t = (*triple)->Query(q);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->size(), 3u) << t->ToString();
+
+  auto predicate = PredicateStoreBackend::Load(make_graph());
+  ASSERT_TRUE(predicate.ok()) << predicate.status().ToString();
+  auto p = (*predicate)->Query(q);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  EXPECT_EQ(p->size(), 3u) << p->ToString();
+}
+
+TEST_F(StoreTest, ExplainIncludesExecutionProfile) {
+  auto ex = db2rdf_->Explain(
+      std::string(kPrefix) + "SELECT ?x ?y WHERE { ?x :founder ?y }", {});
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  EXPECT_FALSE(ex->exec_stats.empty());
+  EXPECT_NE(ex->exec_stats.find("rows="), std::string::npos)
+      << ex->exec_stats;
+  EXPECT_NE(ex->exec_stats.find("batches="), std::string::npos)
+      << ex->exec_stats;
 }
 
 }  // namespace

@@ -171,8 +171,12 @@ class SuppressionTest : public ::testing::Test {
     if (!path_.empty()) std::remove(path_.c_str());
   }
 
+  // One file per test: ctest runs each case as its own process, in
+  // parallel under -j, so a shared path would race.
   void WriteSource(const std::string& text) {
-    path_ = ::testing::TempDir() + "/lint_suppression_fixture.cc";
+    path_ = ::testing::TempDir() + "/lint_suppression_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".cc";
     std::ofstream out(path_);
     ASSERT_TRUE(out.is_open());
     out << text;
