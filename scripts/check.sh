@@ -9,7 +9,9 @@
 #       full sweep of the compile database enforcing arena-escape,
 #       blocking-under-lock, borrowed-batch, and status-discipline.
 #   2.  Flake gate: the plain build runs the differential, reference-
-#       evaluator, lint-suppression and join-boundary tests under
+#       evaluator, lint-suppression, join-boundary, hot-key index,
+#       index-join pushdown and ParallelTest (serial-vs-parallel byte
+#       identity through the index-join probe path) tests under
 #       `ctest -j --repeat until-fail:5`, so order- and temp-file races
 #       between parallel test processes fail CI instead of a later run.
 #   3.  ThreadSanitizer build, running the concurrency + plan-cache tests
@@ -65,7 +67,7 @@ echo
 echo "== [2/9] Flake gate: repeated parallel runs of race-prone tests =="
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}" --repeat until-fail:5 \
-    -R 'Differential|Reference|Suppression|JoinBoundary')
+    -R 'Differential|Reference|Suppression|JoinBoundary|IndexKindTest|IndexJoinPushdown|ParallelTest')
 
 echo
 echo "== [3/9] ThreadSanitizer: concurrency + parallel + serve + shard =="

@@ -355,7 +355,10 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
           if (sidx == nullptr) {
             return Status::Unsupported("delete requires the l_id index");
           }
-          for (sql::RowId srid : sidx->Lookup(Value::Int(stored))) {
+          // A copy: Lookup borrows the posting list that Delete mutates.
+          const std::vector<sql::RowId> srids =
+              sidx->Lookup(Value::Int(stored));
+          for (sql::RowId srid : srids) {
             RDFREL_ASSIGN_OR_RETURN(Row srow, dir.secondary->Get(srid));
             if (srow[1].AsInt() == static_cast<int64_t>(value)) {
               RDFREL_RETURN_NOT_OK(dir.secondary->Delete(srid));

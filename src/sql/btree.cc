@@ -26,7 +26,19 @@ struct BPlusTree::Node {
 };
 
 namespace {
-bool ValueLess(const Value& a, const Value& b) { return a.Compare(b) < 0; }
+// Key comparisons run O(log n) times per probe and DB2RDF keys are all
+// BIGINT ids, so the both-int64 case skips Value::Compare's type dispatch.
+bool ValueLess(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return a.AsInt() < b.AsInt();
+  return a.Compare(b) < 0;
+}
+
+bool KeyEquals(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return a.AsInt() == b.AsInt();
+  return a.Compare(b) == 0;
+}
+
+const std::vector<RowId> kNoRids;
 }  // namespace
 
 BPlusTree::BPlusTree(size_t fanout) : fanout_(std::max<size_t>(fanout, 4)) {
@@ -57,16 +69,24 @@ BPlusTree::Node* BPlusTree::FindLeaf(const Value& key) const {
 
 void BPlusTree::Insert(const Value& key, RowId rid) {
   Node* leaf = FindLeaf(key);
-  InsertIntoLeaf(leaf, key, rid);
+  InsertIntoLeaf(leaf, key, rid, /*dedupe=*/true);
   if (leaf->entries.size() >= fanout_) SplitLeaf(leaf);
 }
 
-void BPlusTree::InsertIntoLeaf(Node* leaf, const Value& key, RowId rid) {
+void BPlusTree::Append(const Value& key, RowId rid) {
+  Node* leaf = FindLeaf(key);
+  InsertIntoLeaf(leaf, key, rid, /*dedupe=*/false);
+  if (leaf->entries.size() >= fanout_) SplitLeaf(leaf);
+}
+
+void BPlusTree::InsertIntoLeaf(Node* leaf, const Value& key, RowId rid,
+                               bool dedupe) {
   auto it = std::lower_bound(
       leaf->entries.begin(), leaf->entries.end(), key,
       [](const LeafEntry& e, const Value& k) { return ValueLess(e.key, k); });
-  if (it != leaf->entries.end() && it->key.Compare(key) == 0) {
-    if (std::find(it->rids.begin(), it->rids.end(), rid) == it->rids.end()) {
+  if (it != leaf->entries.end() && KeyEquals(it->key, key)) {
+    if (!dedupe ||
+        std::find(it->rids.begin(), it->rids.end(), rid) == it->rids.end()) {
       it->rids.push_back(rid);
       ++size_;
     }
@@ -138,7 +158,7 @@ bool BPlusTree::Remove(const Value& key, RowId rid) {
   auto it = std::lower_bound(
       leaf->entries.begin(), leaf->entries.end(), key,
       [](const LeafEntry& e, const Value& k) { return ValueLess(e.key, k); });
-  if (it == leaf->entries.end() || it->key.Compare(key) != 0) return false;
+  if (it == leaf->entries.end() || !KeyEquals(it->key, key)) return false;
   auto rit = std::find(it->rids.begin(), it->rids.end(), rid);
   if (rit == it->rids.end()) return false;
   it->rids.erase(rit);
@@ -153,12 +173,12 @@ bool BPlusTree::Remove(const Value& key, RowId rid) {
   return true;
 }
 
-std::vector<RowId> BPlusTree::Lookup(const Value& key) const {
+const std::vector<RowId>& BPlusTree::Lookup(const Value& key) const {
   Node* leaf = FindLeaf(key);
   auto it = std::lower_bound(
       leaf->entries.begin(), leaf->entries.end(), key,
       [](const LeafEntry& e, const Value& k) { return ValueLess(e.key, k); });
-  if (it == leaf->entries.end() || it->key.Compare(key) != 0) return {};
+  if (it == leaf->entries.end() || !KeyEquals(it->key, key)) return kNoRids;
   return it->rids;
 }
 

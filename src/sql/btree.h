@@ -31,11 +31,17 @@ class BPlusTree {
   /// Adds (key, rid). Duplicates of the same (key, rid) pair are kept once.
   void Insert(const Value& key, RowId rid);
 
+  /// Adds (key, rid) for a rid known not to be posted under \p key yet (a
+  /// freshly allocated heap slot), skipping Insert's scan of the posting
+  /// list — O(log n) instead of O(postings) for a hot key.
+  void Append(const Value& key, RowId rid);
+
   /// Removes one (key, rid) posting; returns false when absent.
   bool Remove(const Value& key, RowId rid);
 
-  /// RowIds for an exact key (empty when absent).
-  std::vector<RowId> Lookup(const Value& key) const;
+  /// RowIds for an exact key (empty when absent), borrowed from the leaf
+  /// entry: valid until the next mutation of the tree.
+  const std::vector<RowId>& Lookup(const Value& key) const;
 
   /// True if the key exists.
   bool Contains(const Value& key) const;
@@ -64,7 +70,7 @@ class BPlusTree {
   struct LeafEntry;
 
   Node* FindLeaf(const Value& key) const;
-  void InsertIntoLeaf(Node* leaf, const Value& key, RowId rid);
+  void InsertIntoLeaf(Node* leaf, const Value& key, RowId rid, bool dedupe);
   void SplitLeaf(Node* leaf);
   void SplitInternal(Node* node);
   void InsertIntoParent(Node* left, Value sep, Node* right);

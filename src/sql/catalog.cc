@@ -54,10 +54,14 @@ const IndexInfo* Table::FindIndexByName(const std::string& index_name) const {
 void Table::IndexInsert(IndexInfo* idx, const Row& row, RowId rid) {
   const Value& key = row[static_cast<size_t>(idx->column)];
   if (key.is_null()) return;  // NULLs are not indexed
+  // Every caller posts a rid that is not in the index: freshly allocated by
+  // Insert, re-posted by Update right after IndexRemove, or visited once by
+  // the CreateIndex backfill. Append skips the duplicate scan, which is
+  // quadratic in the posting-list length of a hot key.
   if (idx->kind == IndexKind::kBTree) {
-    idx->btree->Insert(key, rid);
+    idx->btree->Append(key, rid);
   } else {
-    idx->hash->Insert(key, rid);
+    idx->hash->Append(key, rid);
   }
 }
 

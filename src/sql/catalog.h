@@ -30,8 +30,11 @@ struct IndexInfo {
   std::unique_ptr<BPlusTree> btree;
   std::unique_ptr<HashIndex> hash;
 
-  /// RowIds matching \p key through whichever structure backs this index.
-  std::vector<RowId> Lookup(const Value& key) const {
+  /// RowIds matching \p key through whichever structure backs this index,
+  /// borrowed in place (B+-tree leaf entry or hash bucket): valid until the
+  /// next mutation of the table. Readers rely on the store's writer lock to
+  /// keep a probe's posting list stable for the whole query.
+  const std::vector<RowId>& Lookup(const Value& key) const {
     return kind == IndexKind::kBTree ? btree->Lookup(key)
                                      : hash->Lookup(key);
   }

@@ -20,31 +20,6 @@ Scope TableScope(const Table* table, const std::string& alias) {
   return s;
 }
 
-/// Fetches the row at \p rid into \p out, reusing \p out's storage (no
-/// intermediate Row like Table::Get). Tables within the decoded-page budget
-/// are served from the page cache — index probes tend to revisit pages, so
-/// the one-time decode amortizes; larger tables read the heap cell directly
-/// to avoid re-decoding whole pages per probe.
-Status FetchRowInto(const Table& table, RowId rid, Row* out) {
-  const HeapFile& heap = table.storage().heap();
-  if (rid.page >= heap.num_pages()) {
-    return Status::Internal("rid page out of range");
-  }
-  if (table.row_count() <= Table::kDecodedRowBudget) {
-    RDFREL_ASSIGN_OR_RETURN(std::shared_ptr<const DecodedPage> dp,
-                            table.DecodePage(rid.page));
-    if (rid.slot >= dp->slot_index.size() ||
-        dp->slot_index[rid.slot] == DecodedPage::kDeadSlot) {
-      return Status::Internal("rid slot not live");
-    }
-    *out = dp->rows[dp->slot_index[rid.slot]];
-    return Status::OK();
-  }
-  RDFREL_ASSIGN_OR_RETURN(std::string_view bytes,
-                          heap.page(rid.page).Get(rid.slot));
-  return DeserializeRowInto(table.schema(), bytes, out);
-}
-
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -182,24 +157,56 @@ Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
   return false;
 }
 
+// -------------------------------------------------------------- RowReader
+
+void RowReader::Reset() {
+  decoded_ = table_->row_count() <= Table::kDecodedRowBudget;
+  page_.reset();
+}
+
+Result<const Row*> RowReader::Read(RowId rid) {
+  const HeapFile& heap = table_->storage().heap();
+  if (rid.page >= heap.num_pages()) {
+    return Status::Internal("rid page out of range");
+  }
+  if (!decoded_) {
+    RDFREL_ASSIGN_OR_RETURN(std::string_view bytes,
+                            heap.page(rid.page).Get(rid.slot));
+    RDFREL_RETURN_NOT_OK(
+        DeserializeRowInto(table_->schema(), bytes, &scratch_));
+    return &scratch_;
+  }
+  if (page_ == nullptr || rid.page != page_no_) {
+    RDFREL_ASSIGN_OR_RETURN(page_, table_->DecodePage(rid.page));
+    page_no_ = rid.page;
+  }
+  if (rid.slot >= page_->slot_index.size() ||
+      page_->slot_index[rid.slot] == DecodedPage::kDeadSlot) {
+    return Status::Internal("rid slot not live");
+  }
+  return &page_->rows[page_->slot_index[rid.slot]];
+}
+
 // ------------------------------------------------------------ IndexScanOp
 
 IndexScanOp::IndexScanOp(const Table* table, const std::string& alias,
                          const IndexInfo* index, Value key)
-    : table_(table), index_(index), key_(std::move(key)) {
+    : table_(table), index_(index), key_(std::move(key)), reader_(table) {
   scope_ = TableScope(table, alias);
 }
 
 Status IndexScanOp::Open() {
-  rids_ = index_->Lookup(key_);
+  rids_ = &index_->Lookup(key_);
   pos_ = 0;
+  reader_.Reset();
   return Status::OK();
 }
 
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
-  if (pos_ >= rids_.size()) return false;
-  while (pos_ < rids_.size() && !out->Full()) {
-    RDFREL_RETURN_NOT_OK(FetchRowInto(*table_, rids_[pos_++], out->AddRow()));
+  if (rids_ == nullptr || pos_ >= rids_->size()) return false;
+  while (pos_ < rids_->size() && !out->Full()) {
+    RDFREL_ASSIGN_OR_RETURN(const Row* row, reader_.Read((*rids_)[pos_++]));
+    *out->AddRow() = *row;
   }
   return true;
 }
@@ -503,71 +510,129 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* out) {
 IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
                              const std::string& inner_alias,
                              const IndexInfo* index, BoundExprPtr outer_key,
-                             bool left_outer, BoundExprPtr residual)
+                             bool left_outer, BoundExprPtr residual,
+                             std::vector<InnerPredicate> inner_preds)
     : outer_(std::move(outer)),
       inner_(inner),
       index_(index),
       outer_key_(std::move(outer_key)),
       left_outer_(left_outer),
-      residual_(std::move(residual)) {
+      residual_(std::move(residual)),
+      inner_preds_(std::move(inner_preds)),
+      reader_(inner) {
   scope_ = outer_->scope();
   scope_.Append(TableScope(inner, inner_alias));
+  for (const InnerPredicate& p : inner_preds_) {
+    int slot = -1;
+    const Value* lit = nullptr;
+    if (p.expr == nullptr || !p.expr->AsSlotEquality(&slot, &lit)) slot = -1;
+    inner_eq_.emplace_back(slot, lit);
+  }
 }
 
 Status IndexNLJoinOp::Open() {
   RDFREL_RETURN_NOT_OK(outer_->Open());
   outer_batch_.Reset();
   outer_pos_ = 0;
+  postings_ = nullptr;
+  posting_pos_ = 0;
+  matched_ = false;
+  reader_.Reset();
   return Status::OK();
 }
 
-Result<bool> IndexNLJoinOp::ProbeInto(const Row& outer_row, const Value& key,
-                                      RowBatch* out) {
-  bool emitted = false;
-  if (!key.is_null()) {
-    for (RowId rid : index_->Lookup(key)) {
-      RDFREL_RETURN_NOT_OK(FetchRowInto(*inner_, rid, &inner_row_));
+std::string IndexNLJoinOp::StatsSuffix() const {
+  std::string out = " probes=" + std::to_string(probes_) +
+                    " fetched=" + std::to_string(fetched_) +
+                    " rejected=" + std::to_string(rejected_);
+  if (!inner_preds_.empty()) {
+    out += " inner=[";
+    for (size_t i = 0; i < inner_preds_.size(); ++i) {
+      if (i > 0) out += " AND ";
+      out += inner_preds_[i].text;
+    }
+    out += "]";
+  }
+  return out;
+}
+
+Result<bool> IndexNLJoinOp::PassesInner(const Row& inner) const {
+  for (size_t i = 0; i < inner_preds_.size(); ++i) {
+    const auto& [slot, lit] = inner_eq_[i];
+    if (slot >= 0) {
+      // SQL `=`: NULL on either side never passes; 5 = 5.0 does, and a
+      // string never equals a number (Value::EqualsNonNull).
+      if (static_cast<size_t>(slot) >= inner.size()) {
+        return Status::Internal("inner predicate slot out of range");
+      }
+      const Value& v = inner[static_cast<size_t>(slot)];
+      if (v.is_null() || lit->is_null() || !v.EqualsNonNull(*lit)) {
+        return false;
+      }
+      continue;
+    }
+    RDFREL_ASSIGN_OR_RETURN(bool pass,
+                            EvalPredicate(*inner_preds_[i].expr, inner));
+    if (!pass) return false;
+  }
+  return true;
+}
+
+Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
+  static const std::vector<RowId> kNoPostings;
+  // The cursor (outer_pos_, posting_pos_) pauses wherever `out` fills —
+  // between outer rows or inside one outer row's posting list — so a chain
+  // of joins hands capacity-sized batches downstream even when one key
+  // fans out to thousands of inner rows.
+  while (!out->Full()) {
+    if (postings_ == nullptr) {
+      if (outer_pos_ >= outer_batch_.ActiveSize()) {
+        RDFREL_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
+        if (!has) return out->size() > 0;
+        outer_pos_ = 0;
+        RDFREL_RETURN_NOT_OK(
+            outer_key_->EvaluateBatch(outer_batch_, &key_col_));
+      }
+      const Value& key = key_col_[outer_pos_];
+      if (key.is_null()) {
+        postings_ = &kNoPostings;  // NULL keys never join
+      } else {
+        postings_ = &index_->Lookup(key);
+        ++probes_;
+      }
+      posting_pos_ = 0;
+      matched_ = false;
+    }
+    const Row& outer_row = outer_batch_.Active(outer_pos_);
+    while (posting_pos_ < postings_->size() && !out->Full()) {
+      RDFREL_ASSIGN_OR_RETURN(const Row* inner,
+                              reader_.Read((*postings_)[posting_pos_++]));
+      ++fetched_;
+      RDFREL_ASSIGN_OR_RETURN(bool pass, PassesInner(*inner));
+      if (!pass) {
+        ++rejected_;
+        continue;
+      }
       Row* slot = out->AddRow();
       *slot = outer_row;
-      slot->insert(slot->end(), inner_row_.begin(), inner_row_.end());
+      slot->insert(slot->end(), inner->begin(), inner->end());
       if (residual_) {
-        RDFREL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *slot));
-        if (!pass) {
+        RDFREL_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*residual_, *slot));
+        if (!ok) {
           out->PopRow();
           continue;
         }
       }
-      emitted = true;
+      matched_ = true;
     }
-  }
-  if (left_outer_ && !emitted) {
-    Row* slot = out->AddRow();
-    *slot = outer_row;
-    slot->insert(slot->end(), inner_->schema().num_columns(), Value::Null());
-    emitted = true;
-  }
-  return emitted;
-}
-
-Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
-  // Bounded like HashJoin: the outer_pos_ cursor pauses the probe loop
-  // between outer rows when `out` fills, so a chain of joins hands
-  // capacity-sized batches downstream instead of one batch holding the
-  // whole multiplied-out result.
-  while (!out->Full()) {
-    if (outer_pos_ >= outer_batch_.ActiveSize()) {
-      RDFREL_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
-      if (!has) return out->size() > 0;
-      outer_pos_ = 0;
-      RDFREL_RETURN_NOT_OK(outer_key_->EvaluateBatch(outer_batch_, &key_col_));
+    if (posting_pos_ < postings_->size() || out->Full()) break;
+    if (left_outer_ && !matched_) {
+      Row* slot = out->AddRow();
+      *slot = outer_row;
+      slot->insert(slot->end(), inner_->schema().num_columns(), Value::Null());
     }
-    for (; outer_pos_ < outer_batch_.ActiveSize() && !out->Full();
-         ++outer_pos_) {
-      RDFREL_ASSIGN_OR_RETURN(bool emitted,
-                              ProbeInto(outer_batch_.Active(outer_pos_),
-                                        key_col_[outer_pos_], out));
-      (void)emitted;
-    }
+    postings_ = nullptr;
+    ++outer_pos_;
   }
   return out->size() > 0;
 }
@@ -1083,6 +1148,17 @@ Status IndexNLJoinOp::VerifySelf() const {
   if (residual_ != nullptr) {
     RDFREL_RETURN_NOT_OK(
         CheckExprSlots(*residual_, scope_.size(), "residual"));
+  }
+  // Pushed predicates read the stored inner row, not the joined one.
+  for (size_t i = 0; i < inner_preds_.size(); ++i) {
+    if (inner_preds_[i].expr == nullptr) {
+      return Status::InternalPlanError("inner predicate " + std::to_string(i) +
+                                       " is empty");
+    }
+    std::string what = "inner predicate " + std::to_string(i);
+    RDFREL_RETURN_NOT_OK(CheckExprSlots(*inner_preds_[i].expr,
+                                        inner_->schema().num_columns(),
+                                        what.c_str()));
   }
   return Status::OK();
 }

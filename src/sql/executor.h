@@ -168,9 +168,35 @@ class SeqScanOp final : public Operator, public MorselSource {
   std::shared_ptr<const DecodedPage> cur_page_;
 };
 
+/// Reads rows of one table by RowId for the index-driven operators. Within
+/// Table::kDecodedRowBudget a row is borrowed in place from its decoded
+/// page, and the page stays pinned across consecutive rids on it: one
+/// DecodePage call (lock, counter, refcount) per run of rids on a page, not
+/// per rid, and no row copy. Larger tables deserialize the heap cell into a
+/// scratch row instead of re-decoding whole pages per probe. Both paths
+/// range-check the rid's page and slot.
+class RowReader {
+ public:
+  explicit RowReader(const Table* table) : table_(table) {}
+
+  /// Unpins the current page and re-reads the table size (call from the
+  /// owning operator's Open()).
+  void Reset();
+
+  /// The row at \p rid; valid until the next Read or Reset.
+  Result<const Row*> Read(RowId rid);
+
+ private:
+  const Table* table_;
+  bool decoded_ = true;  ///< table fits the decoded-page budget
+  std::shared_ptr<const DecodedPage> page_;  ///< pinned page (decoded_)
+  uint32_t page_no_ = 0;                     ///< its page number
+  Row scratch_;                              ///< heap-cell path buffer
+};
+
 /// Point index lookup: emits rows whose indexed column equals a constant.
-/// Rows deserialize straight from heap cells into the caller's storage (no
-/// intermediate Row materialization per rid).
+/// The posting list is borrowed from the index; rows are read through a
+/// RowReader and copied once, into the output batch.
 class IndexScanOp final : public Operator {
  public:
   IndexScanOp(const Table* table, const std::string& alias,
@@ -188,7 +214,8 @@ class IndexScanOp final : public Operator {
   const Table* table_;
   const IndexInfo* index_;
   Value key_;
-  std::vector<RowId> rids_;
+  RowReader reader_;
+  const std::vector<RowId>* rids_ = nullptr;  ///< borrowed posting list
   size_t pos_ = 0;
 };
 
@@ -324,31 +351,49 @@ class HashJoinOp final : public Operator {
   size_t probe_pos_ = 0;                       ///< resume cursor into probe_
 };
 
+/// A conjunct over the inner table of an IndexNLJoinOp alone (the
+/// translator's `T.predK = p AND T.valK = o`), pushed down by the planner
+/// so the join rejects a candidate before building the joined row.
+struct InnerPredicate {
+  BoundExprPtr expr;  ///< bound against the inner table's columns
+  std::string text;   ///< SQL text, shown on the profile line
+};
+
 /// Index nested-loop join: for each outer row, probes the inner table's
 /// index with a key computed from the outer row. Inner or left-outer.
-/// Probes one outer batch at a time and pauses between outer rows once the
-/// output batch reaches capacity, resuming on the next call.
+///
+/// A probe borrows the posting list from the index and each candidate row
+/// from its pinned decoded page (RowReader), tests the pushed inner
+/// predicates on the borrowed row — `slot = literal` by a direct
+/// EqualsNonNull, anything else through EvalPredicate — and only then
+/// assembles the joined row and applies the residual. The resume cursor
+/// (outer row, position in its posting list) pauses wherever the output
+/// batch fills, so no batch exceeds its capacity however many inner rows
+/// one outer key matches. Borrowing is safe because writers hold the
+/// store's exclusive lock, which no query overlaps.
 class IndexNLJoinOp final : public Operator {
  public:
   IndexNLJoinOp(OperatorPtr outer, const Table* inner,
                 const std::string& inner_alias, const IndexInfo* index,
                 BoundExprPtr outer_key, bool left_outer,
-                BoundExprPtr residual);
+                BoundExprPtr residual,
+                std::vector<InnerPredicate> inner_preds = {});
   Status Open() override;
   std::string name() const override {
     return "IndexNLJoin(" + inner_->name() + ")";
   }
   std::vector<Operator*> children() override { return {outer_.get()}; }
   Status VerifySelf() const override;
+  /// " probes=P fetched=F rejected=R", plus " inner=[...]" naming the
+  /// pushed predicates.
+  std::string StatsSuffix() const override;
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* out) override;
 
  private:
-  /// Emits every join result of \p outer_row into \p out; returns whether
-  /// anything (including an outer-padded row) was emitted.
-  Result<bool> ProbeInto(const Row& outer_row, const Value& key,
-                         RowBatch* out);
+  /// Whether \p inner passes every pushed inner predicate.
+  Result<bool> PassesInner(const Row& inner) const;
 
   OperatorPtr outer_;
   const Table* inner_;
@@ -356,12 +401,22 @@ class IndexNLJoinOp final : public Operator {
   BoundExprPtr outer_key_;
   bool left_outer_;
   BoundExprPtr residual_;  ///< bound against concatenated scope
-
-  Row inner_row_;          ///< inner-row buffer (reused per rid)
+  std::vector<InnerPredicate> inner_preds_;
+  /// Per inner predicate: its `slot = literal` shape (slot -1 otherwise).
+  std::vector<std::pair<int, const Value*>> inner_eq_;
+  RowReader reader_;
 
   RowBatch outer_batch_;                      ///< outer-side input buffer
   std::vector<Value> key_col_;                ///< batch-evaluated keys
   size_t outer_pos_ = 0;                      ///< resume cursor into batch
+  /// Posting list of the outer row at outer_pos_; null between outer rows.
+  const std::vector<RowId>* postings_ = nullptr;
+  size_t posting_pos_ = 0;  ///< resume cursor into *postings_
+  bool matched_ = false;    ///< the current outer row emitted a row
+
+  uint64_t probes_ = 0;    ///< index lookups (non-NULL keys)
+  uint64_t fetched_ = 0;   ///< candidate inner rows read
+  uint64_t rejected_ = 0;  ///< candidates failing an inner predicate
 };
 
 /// Cross nested-loop join (inner side materialized), with optional residual

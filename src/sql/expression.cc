@@ -1,5 +1,7 @@
 #include "sql/expression.h"
 
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace rdfrel::sql {
@@ -253,6 +255,17 @@ class BinaryExpr final : public BoundExpr {
       }
       if (pass) passing->push_back(batch.ActiveIndex(i));
     }
+    return true;
+  }
+
+  bool AsSlotEquality(int* slot, const Value** literal) const override {
+    if (op_ != ast::BinaryOp::kEq) return false;
+    const BoundExpr* col = lhs_.get();
+    const BoundExpr* lit = rhs_.get();
+    if (col->AsSlot() < 0) std::swap(col, lit);
+    if (col->AsSlot() < 0 || lit->AsLiteral() == nullptr) return false;
+    *slot = col->AsSlot();
+    *literal = lit->AsLiteral();
     return true;
   }
 

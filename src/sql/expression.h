@@ -84,6 +84,15 @@ class BoundExpr {
   /// If this expression is a literal, the constant; nullptr otherwise.
   virtual const Value* AsLiteral() const { return nullptr; }
 
+  /// If this expression is `slot = literal` (either operand order), sets
+  /// \p slot and \p literal and returns true. Lets an index join test a
+  /// pushed-down equality straight against a stored row.
+  virtual bool AsSlotEquality(int* slot, const Value** literal) const {
+    (void)slot;
+    (void)literal;
+    return false;
+  }
+
   /// Appends every input slot this expression reads to \p out (duplicates
   /// allowed). The operator verifier uses this to bounds-check expressions
   /// against their operator's input scope.

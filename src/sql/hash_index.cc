@@ -14,6 +14,11 @@ void HashIndex::Insert(const Value& key, RowId rid) {
   }
 }
 
+void HashIndex::Append(const Value& key, RowId rid) {
+  map_[key].push_back(rid);
+  ++size_;
+}
+
 bool HashIndex::Remove(const Value& key, RowId rid) {
   auto it = map_.find(key);
   if (it == map_.end()) return false;

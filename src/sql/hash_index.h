@@ -17,10 +17,15 @@ class HashIndex {
  public:
   HashIndex() = default;
 
+  /// Adds (key, rid); a posting already present is kept once.
   void Insert(const Value& key, RowId rid);
+  /// Adds (key, rid) for a rid known not to be posted under \p key yet (a
+  /// freshly allocated heap slot), skipping Insert's posting-list scan.
+  void Append(const Value& key, RowId rid);
   /// Removes one posting; returns false when absent.
   bool Remove(const Value& key, RowId rid);
-  /// RowIds for an exact key; empty when absent.
+  /// RowIds for an exact key; empty when absent. Borrowed from the bucket:
+  /// valid until the next mutation of the index.
   const std::vector<RowId>& Lookup(const Value& key) const;
   bool Contains(const Value& key) const;
 

@@ -527,23 +527,6 @@ class CorePlanner {
 
     Scope combined = left_scope;
     combined.Append(src.scope);
-    BoundExprPtr residual_bound;
-    if (!residual.empty()) {
-      // AND the residual conjuncts into one bound predicate.
-      BoundExprPtr acc;
-      for (const Expr* e : residual) {
-        RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, combined));
-        if (!acc) {
-          acc = std::move(b);
-        } else {
-          // Wrap with an AND via a tiny adapter: re-bind the conjunction.
-          // Cheapest: build an ast AND is impossible here (we have borrowed
-          // pointers), so chain with a composite evaluator.
-          acc = MakeAndExpr(std::move(acc), std::move(b));
-        }
-      }
-      residual_bound = std::move(acc);
-    }
 
     // Option 1: the new source is a base table with an index on one of the
     // equi columns -> index nested-loop probe into it.
@@ -558,18 +541,26 @@ class CorePlanner {
         RDFREL_ASSIGN_OR_RETURN(
             BoundExprPtr key, BindExpr(*equis[k].first, (*current)->scope()));
         // Remaining equis become residual on the combined scope.
-        BoundExprPtr extra = std::move(residual_bound);
+        std::vector<InnerPredicate> inner;
+        BoundExprPtr extra;
+        RDFREL_RETURN_NOT_OK(
+            SplitResidual(residual, src.scope, combined, &inner, &extra));
         for (size_t j = 0; j < equis.size(); ++j) {
           if (j == k) continue;
           RDFREL_ASSIGN_OR_RETURN(
               BoundExprPtr b,
               BindEquiAsResidual(equis[j], (*current)->scope(), src.scope));
-          extra = extra ? MakeAndExpr(std::move(extra), std::move(b))
-                        : std::move(b);
+          AndInto(&extra, std::move(b));
+        }
+        // A LEFT OUTER join's WHERE filters the padded result, so it must
+        // stay above the join.
+        if (!left_outer) {
+          RDFREL_RETURN_NOT_OK(
+              TakeInnerConjuncts(src.scope, combined, conjuncts, &inner));
         }
         *current = std::make_unique<IndexNLJoinOp>(
             std::move(*current), src.table, src.alias, idx, std::move(key),
-            left_outer, std::move(extra));
+            left_outer, std::move(extra), std::move(inner));
         return Status::OK();
       }
     }
@@ -603,30 +594,36 @@ class CorePlanner {
           }
           flipped.Append(t);
         }
+        std::vector<InnerPredicate> inner;
         BoundExprPtr extra;
         for (size_t j = 0; j < equis.size(); ++j) {
           if (j == k) continue;
           RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b,
                                   BindExpr(MakeEqAst(equis[j]), flipped));
-          extra = extra ? MakeAndExpr(std::move(extra), std::move(b))
-                        : std::move(b);
+          AndInto(&extra, std::move(b));
         }
-        for (const Expr* e : residual) {
-          RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, flipped));
-          extra = extra ? MakeAndExpr(std::move(extra), std::move(b))
-                        : std::move(b);
-        }
+        RDFREL_RETURN_NOT_OK(
+            SplitResidual(residual, pending->scope, flipped, &inner, &extra));
+        // Pending-table conjuncts (the translator's T.predK = p) are tested
+        // on the probed rows in place.
+        RDFREL_RETURN_NOT_OK(
+            TakeInnerConjuncts(pending->scope, flipped, conjuncts, &inner));
         *current = std::make_unique<IndexNLJoinOp>(
             std::move(outer), pending->table, pending->alias, idx,
-            std::move(key), /*left_outer=*/false, std::move(extra));
+            std::move(key), /*left_outer=*/false, std::move(extra),
+            std::move(inner));
         *have_pending = false;
-        // Pending-table conjuncts (e.g. T.pred1='x') are now covered by the
-        // combined scope and get applied by the caller.
         return Status::OK();
       }
     }
 
-    // Option 3: hash join on the equi keys.
+    // Option 3: hash join on the equi keys, the ON residual ANDed into one
+    // bound predicate.
+    BoundExprPtr residual_bound;
+    for (const Expr* e : residual) {
+      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, combined));
+      AndInto(&residual_bound, std::move(b));
+    }
     RDFREL_RETURN_NOT_OK(
         FlushPending(current, pending, have_pending, conjuncts));
     OperatorPtr right = MakeSourceOp(src, conjuncts);
@@ -656,6 +653,58 @@ class CorePlanner {
     *current = std::make_unique<NestedLoopJoinOp>(
         std::move(*current), std::move(right), left_outer,
         std::move(residual_bound));
+    return Status::OK();
+  }
+
+  /// A join conjunct reading only the probed table: covered by \p inner,
+  /// and by the join's \p combined scope, so pushing it cannot change how
+  /// a name resolves.
+  static bool InnerOnly(const Expr& e, const Scope& inner,
+                        const Scope& combined) {
+    return ExprCoveredByScope(e, inner) && ExprCoveredByScope(e, combined);
+  }
+
+  /// ANDs \p b into \p acc (which may be empty).
+  static void AndInto(BoundExprPtr* acc, BoundExprPtr b) {
+    *acc = *acc ? MakeAndExpr(std::move(*acc), std::move(b)) : std::move(b);
+  }
+
+  /// Splits an index join's ON residual: conjuncts over the probed table
+  /// alone become inner predicates (sound for LEFT joins too — ON decides
+  /// what matches), the rest are ANDed into \p extra bound on \p combined.
+  static Status SplitResidual(const std::vector<const Expr*>& residual,
+                              const Scope& inner, const Scope& combined,
+                              std::vector<InnerPredicate>* preds,
+                              BoundExprPtr* extra) {
+    for (const Expr* e : residual) {
+      if (InnerOnly(*e, inner, combined)) {
+        RDFREL_RETURN_NOT_OK(AddInnerPredicate(*e, inner, preds));
+        continue;
+      }
+      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, combined));
+      AndInto(extra, std::move(b));
+    }
+    return Status::OK();
+  }
+
+  /// Binds \p e against the probed table's columns for an IndexNLJoinOp.
+  static Status AddInnerPredicate(const Expr& e, const Scope& inner,
+                                  std::vector<InnerPredicate>* out) {
+    RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(e, inner));
+    out->push_back({std::move(b), e.ToString()});
+    return Status::OK();
+  }
+
+  /// Hands the index join every unconsumed WHERE conjunct over the probed
+  /// table alone, consuming it.
+  static Status TakeInnerConjuncts(const Scope& inner, const Scope& combined,
+                                   std::vector<Conjunct>* conjuncts,
+                                   std::vector<InnerPredicate>* out) {
+    for (auto& c : *conjuncts) {
+      if (c.consumed || !InnerOnly(*c.expr, inner, combined)) continue;
+      RDFREL_RETURN_NOT_OK(AddInnerPredicate(*c.expr, inner, out));
+      c.consumed = true;
+    }
     return Status::OK();
   }
 

@@ -56,9 +56,12 @@ TEST(PersistTestCoding, RoundTrip) {
 TEST(PersistTestCoding, TruncationIsDataLoss) {
   std::string buf;
   PutString(&buf, "hello");
-  ByteReader r(buf.substr(0, buf.size() - 1));
+  // ByteReader borrows its bytes, so the truncated copies must outlive it.
+  const std::string short_body = buf.substr(0, buf.size() - 1);
+  ByteReader r(short_body);
   EXPECT_TRUE(r.ReadString().status().IsDataLoss());
-  ByteReader r2(buf.substr(0, 2));
+  const std::string short_len = buf.substr(0, 2);
+  ByteReader r2(short_len);
   EXPECT_TRUE(r2.ReadString().status().IsDataLoss());
   ByteReader r3("");
   EXPECT_TRUE(r3.ReadU64().status().IsDataLoss());

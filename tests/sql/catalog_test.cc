@@ -1,5 +1,9 @@
 #include "sql/catalog.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sql/hash_index.h"
@@ -68,6 +72,88 @@ TEST(TableTest, IndexFollowsUpdateAndDelete) {
   ASSERT_TRUE(t.Delete(*rid2).ok());
   EXPECT_TRUE(idx->Lookup(Value::Int(99)).empty());
 }
+
+/// Sorted postings of \p key, for exact comparison against a model.
+std::vector<RowId> SortedPostings(const IndexInfo& idx, const Value& key) {
+  std::vector<RowId> rids = idx.Lookup(key);
+  std::sort(rids.begin(), rids.end());
+  return rids;
+}
+
+class IndexKindTest : public ::testing::TestWithParam<IndexKind> {};
+
+TEST_P(IndexKindTest, HotKeyPostingsStayExact) {
+  // Thousands of rows under one key: the table posts each fresh rid once,
+  // in insertion order, without rescanning the list.
+  Table t("people", PeopleSchema());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id", GetParam()).ok());
+  std::vector<RowId> inserted;
+  for (int i = 0; i < 5000; ++i) {
+    auto rid = t.Insert({Value::Int(7), Value::Str("p" + std::to_string(i))});
+    ASSERT_TRUE(rid.ok());
+    inserted.push_back(*rid);
+  }
+  const IndexInfo* idx = t.FindIndexOn("id");
+  EXPECT_EQ(idx->Lookup(Value::Int(7)), inserted);
+  // A backfilled index over the same rows agrees.
+  ASSERT_TRUE(t.CreateIndex("idx_name", "name", GetParam()).ok());
+  EXPECT_EQ(t.FindIndexOn("name")->Lookup(Value::Str("p4999")),
+            std::vector<RowId>{inserted.back()});
+}
+
+TEST_P(IndexKindTest, DeleteReinsertKeepsPostingsExact) {
+  Table t("people", PeopleSchema());
+  ASSERT_TRUE(t.CreateIndex("idx_id", "id", GetParam()).ok());
+  const IndexInfo* idx = t.FindIndexOn("id");
+  std::vector<RowId> live;
+  for (int i = 0; i < 20; ++i) {
+    auto rid = t.Insert({Value::Int(1), Value::Str("a")});
+    ASSERT_TRUE(rid.ok());
+    live.push_back(*rid);
+  }
+  // Delete every third row, then reinsert the same values.
+  for (size_t i = 0; i < live.size(); i += 3) {
+    ASSERT_TRUE(t.Delete(live[i]).ok());
+  }
+  std::vector<RowId> expected;
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (i % 3 != 0) expected.push_back(live[i]);
+  }
+  for (size_t i = 0; i < live.size(); i += 3) {
+    auto rid = t.Insert({Value::Int(1), Value::Str("a")});
+    ASSERT_TRUE(rid.ok());
+    expected.push_back(*rid);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(SortedPostings(*idx, Value::Int(1)), expected);
+  // An in-place update reuses its slot: same key, then a new key, then back.
+  const RowId reused = expected.front();
+  auto same = t.Update(reused, {Value::Int(1), Value::Str("b")});
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(*same, reused);
+  EXPECT_EQ(SortedPostings(*idx, Value::Int(1)), expected);
+  auto moved = t.Update(reused, {Value::Int(2), Value::Str("b")});
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(*moved, reused);
+  EXPECT_EQ(idx->Lookup(Value::Int(2)), std::vector<RowId>{reused});
+  auto back = t.Update(reused, {Value::Int(1), Value::Str("b")});
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(idx->Lookup(Value::Int(2)).empty());
+  EXPECT_EQ(SortedPostings(*idx, Value::Int(1)), expected);
+  if (GetParam() == IndexKind::kBTree) {
+    EXPECT_TRUE(idx->btree->CheckInvariants().ok());
+    EXPECT_EQ(idx->btree->size(), expected.size());
+  } else {
+    EXPECT_EQ(idx->hash->size(), expected.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothKinds, IndexKindTest,
+    ::testing::Values(IndexKind::kBTree, IndexKind::kHash),
+    [](const ::testing::TestParamInfo<IndexKind>& info) {
+      return std::string(info.param == IndexKind::kBTree ? "BTree" : "Hash");
+    });
 
 TEST(TableTest, NullKeysNotIndexed) {
   Table t("people", PeopleSchema());

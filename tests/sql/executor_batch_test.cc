@@ -283,8 +283,249 @@ TEST_P(JoinBoundaryTest, NestedLoopJoinRowAndBatchAgree) {
              ExpectedJoin(l, r, lt, true));
 }
 
+/// One outer key matching GetParam() inner rows: the index join's cursor
+/// inside the posting list must cut the fan-out into batches no larger
+/// than the capacity, for inner and LEFT joins alike.
+TEST_P(JoinBoundaryTest, IndexNLJoinFanOutStaysWithinCapacity) {
+  const size_t fan = GetParam();
+  std::vector<KeyRow> r;
+  for (size_t i = 0; i < fan; ++i) r.push_back({7, static_cast<int64_t>(i)});
+  r.push_back({3, 5000});
+  r.push_back({3, 5001});
+  // Key 7 fans out (twice), 99 and NULL match nothing, 3 matches twice.
+  const std::vector<KeyRow> l = {
+      {7, 1}, {99, 2}, {std::nullopt, 3}, {3, 4}, {7, 5}};
+  Database db;
+  CreateKeyTable(db, "l", "b", l);
+  CreateKeyTable(db, "r", "c", r);
+  ASSERT_TRUE(db.Execute("CREATE INDEX idx_r_a ON r (a)").ok());
+  ExpectOperator(db, "SELECT * FROM l, r WHERE l.a = r.a", "IndexNLJoin(r)");
+  auto eq = [](const KeyRow& x, const KeyRow& y) { return *x.a == *y.a; };
+  ExpectRows(db, "SELECT * FROM l, r WHERE l.a = r.a",
+             ExpectedJoin(l, r, eq, false));
+  ExpectRows(db, "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a",
+             ExpectedJoin(l, r, eq, true));
+
+  auto outer = std::make_shared<Materialized>();
+  outer->scope.Add("l", "a");
+  outer->scope.Add("l", "b");
+  for (const auto& lr : l) {
+    outer->rows.push_back({IntOrNull(lr.a), Value::Int(lr.payload)});
+  }
+  auto table = db.catalog().GetTable("r");
+  ASSERT_TRUE(table.ok());
+  for (bool left_outer : {false, true}) {
+    // Expected in execution order: outer rows in order, each one's matches
+    // in posting (insertion) order.
+    std::vector<Row> expected;
+    for (const auto& lr : l) {
+      bool matched = false;
+      for (const auto& rr : r) {
+        if (!lr.a.has_value() || *lr.a != *rr.a) continue;
+        matched = true;
+        expected.push_back({IntOrNull(lr.a), Value::Int(lr.payload),
+                            IntOrNull(rr.a), Value::Int(rr.payload)});
+      }
+      if (left_outer && !matched) {
+        expected.push_back({IntOrNull(lr.a), Value::Int(lr.payload),
+                            Value::Null(), Value::Null()});
+      }
+    }
+    IndexNLJoinOp join(std::make_unique<MaterializedScanOp>(outer, "l"),
+                       *table, "r", (*table)->FindIndexOn("a"),
+                       MakeSlotRef(0), left_outer, /*residual=*/nullptr);
+    ASSERT_TRUE(join.Open().ok());
+    RowBatch batch;
+    std::vector<Row> rows;
+    while (true) {
+      auto has = join.NextBatch(&batch);
+      ASSERT_TRUE(has.ok()) << has.status().ToString();
+      if (!*has) break;
+      EXPECT_LE(batch.size(), RowBatch::kDefaultCapacity)
+          << "fan-out " << fan << (left_outer ? " LEFT" : " inner");
+      batch.FlushTo(&rows);
+    }
+    EXPECT_EQ(OrderedSig(rows), OrderedSig(expected))
+        << "fan-out " << fan << (left_outer ? " LEFT" : " inner");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BatchBoundaries, JoinBoundaryTest,
-                         ::testing::Values(0, 1, 1023, 1024, 1025));
+                         ::testing::Values(0, 1, 1023, 1024, 1025, 2049));
+
+// ------------------------------------- index-join predicate pushdown
+
+/// One row of `r(a, c, s)`: the indexed join key, a nullable integer
+/// payload, and a string column holding digits on some rows.
+struct WideRow {
+  int64_t a;
+  std::optional<int64_t> c;
+  std::string s;
+};
+
+/// Conjuncts over the probed table alone are tested on the stored row
+/// inside IndexNLJoin (both planner branches); WHERE conjuncts of a LEFT
+/// JOIN stay above it. Every answer is checked against loop-computed rows.
+class IndexJoinPushdownTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (size_t i = 0; i < 40; ++i) {
+      std::optional<int64_t> key;
+      if (i % 10 != 9) key = static_cast<int64_t>(i % 9);
+      l_.push_back({key, static_cast<int64_t>(i)});
+    }
+    for (int64_t j = 0; j < 60; ++j) {
+      std::optional<int64_t> c;
+      if (j % 6 != 5) c = (j % 4) * 5;  // 0, 5, 10, 15 or NULL
+      r_.push_back({j % 7, c, j % 3 == 0 ? "5" : "x" + std::to_string(j)});
+    }
+    CreateKeyTable(db_, "l", "b", l_);
+    ASSERT_TRUE(
+        db_.Execute("CREATE TABLE r (a INTEGER, c INTEGER, s VARCHAR)").ok());
+    std::vector<std::string> tuples;
+    for (const auto& w : r_) {
+      tuples.push_back("(" + std::to_string(w.a) + ", " + Sql(w.c) + ", '" +
+                       w.s + "')");
+    }
+    InsertRows(db_, "r", tuples);
+    ASSERT_TRUE(db_.Execute("CREATE INDEX idx_r_a ON r (a)").ok());
+  }
+
+  /// `l.b, r.c` rows of l joined to r on `a` where \p inner holds, padded
+  /// with NULL for unmatched l rows when \p left_outer.
+  template <typename Pred>
+  std::vector<Row> Join(Pred inner, bool left_outer) const {
+    std::vector<Row> out;
+    for (const auto& lr : l_) {
+      bool matched = false;
+      for (const auto& rr : r_) {
+        if (!lr.a.has_value() || *lr.a != rr.a || !inner(rr)) continue;
+        matched = true;
+        out.push_back({Value::Int(lr.payload), IntOrNull(rr.c)});
+      }
+      if (left_outer && !matched) {
+        out.push_back({Value::Int(lr.payload), Value::Null()});
+      }
+    }
+    return out;
+  }
+
+  /// The profile of \p q, after checking its rows against \p expected.
+  std::string Profile(const std::string& q, const std::vector<Row>& expected) {
+    ExpectRows(db_, q, expected);
+    std::string profile;
+    auto res = db_.QueryProfiled(q, &profile);
+    EXPECT_TRUE(res.ok()) << q << "\n" << res.status().ToString();
+    return profile;
+  }
+
+  /// Whether the profile line directly above the IndexNLJoin is a Filter.
+  static bool FilterAboveJoin(const std::string& profile) {
+    size_t join = profile.find("IndexNLJoin(r):");
+    if (join == std::string::npos) return false;
+    size_t end = profile.rfind('\n', join);  // end of the line above
+    if (end == std::string::npos || end == 0) return false;
+    size_t begin = profile.rfind('\n', end - 1);
+    begin = begin == std::string::npos ? 0 : begin + 1;
+    std::string above = profile.substr(begin, end - begin);
+    return above.find("Filter:") == above.find_first_not_of(' ');
+  }
+
+  static bool HasInnerPredicates(const std::string& profile) {
+    size_t join = profile.find("IndexNLJoin(r):");
+    size_t eol = profile.find('\n', join);
+    return join != std::string::npos &&
+           profile.substr(join, eol - join).find(" inner=[") !=
+               std::string::npos;
+  }
+
+  Database db_;
+  std::vector<KeyRow> l_;
+  std::vector<WideRow> r_;
+};
+
+TEST_F(IndexJoinPushdownTest, InnerJoinPushesInnerOnlyWhereConjuncts) {
+  const auto c_is_5 = [](const WideRow& w) { return w.c == 5; };
+  std::string p = Profile(
+      "SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.c = 5",
+      Join(c_is_5, false));
+  EXPECT_TRUE(HasInnerPredicates(p)) << p;
+  EXPECT_FALSE(FilterAboveJoin(p)) << p;
+  // The deferred-left branch: r comes first and is the probed side.
+  p = Profile("SELECT l.b, r.c FROM r, l WHERE r.a = l.a AND r.c = 5",
+              Join(c_is_5, false));
+  EXPECT_TRUE(HasInnerPredicates(p)) << p;
+  EXPECT_FALSE(FilterAboveJoin(p)) << p;
+  // Two inner conjuncts, the translator's `T.predK = p AND T.valK = o`.
+  p = Profile("SELECT l.b, r.c FROM r, l WHERE r.a = l.a AND r.c = 5 "
+              "AND r.s = '5'",
+              Join([](const WideRow& w) { return w.c == 5 && w.s == "5"; },
+                   false));
+  EXPECT_NE(p.find(" AND "), std::string::npos) << p;
+}
+
+TEST_F(IndexJoinPushdownTest, LeftJoinWhereOnInnerIsNotPushed) {
+  // NULL-padded rows fail `r.c = 5` and must be dropped after the join.
+  std::vector<Row> expected;
+  for (const Row& row : Join([](const WideRow&) { return true; }, true)) {
+    if (!row[1].is_null() && row[1].AsInt() == 5) expected.push_back(row);
+  }
+  std::string p = Profile(
+      "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a WHERE r.c = 5",
+      expected);
+  EXPECT_FALSE(HasInnerPredicates(p)) << p;
+  EXPECT_TRUE(FilterAboveJoin(p)) << p;
+  // Pushing `IS NULL` below the padding would keep rows it must not.
+  expected.clear();
+  for (const Row& row : Join([](const WideRow&) { return true; }, true)) {
+    if (row[1].is_null()) expected.push_back(row);
+  }
+  Profile("SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a WHERE r.c IS NULL",
+          expected);
+}
+
+TEST_F(IndexJoinPushdownTest, InnerOnlyOnConditionsArePushed) {
+  const auto c_gt_5 = [](const WideRow& w) {
+    return w.c.has_value() && *w.c > 5;
+  };
+  std::string p = Profile(
+      "SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a AND r.c > 5",
+      Join(c_gt_5, true));
+  EXPECT_TRUE(HasInnerPredicates(p)) << p;
+  p = Profile("SELECT l.b, r.c FROM l JOIN r ON l.a = r.a AND r.c > 5",
+              Join(c_gt_5, false));
+  EXPECT_TRUE(HasInnerPredicates(p)) << p;
+}
+
+TEST_F(IndexJoinPushdownTest, EqualsNullNeverMatches) {
+  const auto none = [](const WideRow&) { return false; };
+  Profile("SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.c = NULL",
+          Join(none, false));
+  Profile("SELECT l.b, r.c FROM l LEFT JOIN r ON l.a = r.a AND r.c = NULL",
+          Join(none, true));
+}
+
+TEST_F(IndexJoinPushdownTest, IntegerEqualsIntegralDouble) {
+  Profile("SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.c = 5.0",
+          Join([](const WideRow& w) { return w.c == 5; }, false));
+}
+
+TEST_F(IndexJoinPushdownTest, StringNeverEqualsInteger) {
+  const auto none = [](const WideRow&) { return false; };
+  Profile("SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.s = 5",
+          Join(none, false));
+  Profile("SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.c = '5'",
+          Join(none, false));
+}
+
+TEST_F(IndexJoinPushdownTest, NonEqualityConjunctTakesGenericPath) {
+  std::string p = Profile(
+      "SELECT l.b, r.c FROM l, r WHERE l.a = r.a AND r.c < 10",
+      Join([](const WideRow& w) { return w.c.has_value() && *w.c < 10; },
+           false));
+  EXPECT_TRUE(HasInnerPredicates(p)) << p;
+  EXPECT_NE(p.find("<"), std::string::npos) << p;
+}
 
 // ------------------------------------------------ SQL-level workload
 

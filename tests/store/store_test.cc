@@ -434,5 +434,49 @@ TEST_F(StoreTest, ExplainIncludesExecutionProfile) {
       << ex->exec_stats;
 }
 
+TEST_F(StoreTest, DphProbeProfileShowsPushedPredicates) {
+  // The shape of a Figure 13 CTE: probe DPH by entry from an earlier
+  // result, then test the probed row's own columns. Those tests run inside
+  // the join, on the stored row, so no Filter sits directly above it.
+  sql::Database& db = db2rdf_->database();
+  const std::string q =
+      "WITH q1 AS (SELECT T.entry AS e FROM dph AS T) "
+      "SELECT q1.e, T.val0 FROM dph AS T, q1 "
+      "WHERE T.entry = q1.e AND T.spill = 0 AND T.pred0 IS NOT NULL";
+  std::string profile;
+  auto res = db.QueryProfiled(q, &profile);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  auto dph = db.Query("SELECT T.entry, T.spill, T.pred0 FROM dph AS T");
+  ASSERT_TRUE(dph.ok()) << dph.status().ToString();
+  // Loop-computed counts: one probe per q1 row; each fetches every DPH row
+  // of its entry; the rows failing either test are rejected.
+  uint64_t fetched = 0;
+  uint64_t passed = 0;
+  for (const auto& outer : dph->rows) {
+    for (const auto& inner : dph->rows) {
+      if (inner[0] != outer[0]) continue;
+      ++fetched;
+      if (inner[1] == sql::Value::Int(0) && !inner[2].is_null()) ++passed;
+    }
+  }
+  EXPECT_EQ(res->rows.size(), passed);
+  const std::string line_start = "IndexNLJoin(dph): rows=";
+  size_t join = profile.find(line_start);
+  ASSERT_NE(join, std::string::npos) << profile;
+  const std::string line =
+      profile.substr(join, profile.find('\n', join) - join);
+  EXPECT_NE(line.find(" probes=" + std::to_string(dph->rows.size()) + " "),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" fetched=" + std::to_string(fetched) + " "),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find(" rejected=" + std::to_string(fetched - passed) + " "),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("inner=["), std::string::npos) << line;
+  EXPECT_EQ(profile.find("Filter"), std::string::npos) << profile;
+}
+
 }  // namespace
 }  // namespace rdfrel::store
