@@ -10,7 +10,7 @@
 ///
 /// `bench_engine --shards N` runs the scatter-gather sweep instead: the
 /// same query classes against in-process sharded stores at 1..N shards
-/// (DESIGN.md §16), writing BENCH_engine.json. The honest "cores" field
+/// (DESIGN.md §16), writing BENCH_shard.json. The honest "cores" field
 /// applies doubly here: every shard shares one worker pool, so on few
 /// cores the sweep measures coordination overhead, not speedup.
 
@@ -353,7 +353,7 @@ int RunShardSweep(unsigned max_shards) {
   json += buf;
   json += "\"sweep\":[" + sweep_json + "]}\n";
 
-  const char* json_path = "BENCH_engine.json";
+  const char* json_path = "BENCH_shard.json";
   std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);

@@ -83,11 +83,16 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port) {
                    sizeof(addr));
   } while (rc != 0 && errno == EINTR);
   if (rc != 0) return ErrnoStatus("connect", errno);
-
-  // Results stream in small chunks; don't let Nagle batch them up.
-  int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  RDFREL_RETURN_NOT_OK(SetNoDelay(fd.get()));
   return fd;
+}
+
+Status SetNoDelay(int fd) {
+  int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return ErrnoStatus("setsockopt(TCP_NODELAY)", errno);
+  }
+  return Status::OK();
 }
 
 Status WriteAll(int fd, std::string_view data) {

@@ -40,6 +40,12 @@ Result<UniqueFd> ListenTcp(const std::string& host, uint16_t port,
 /// Blocking connect to host:port (numeric IPv4, e.g. "127.0.0.1").
 Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port);
 
+/// Turns off Nagle's algorithm on a connected TCP socket. Results stream in
+/// small chunks; with Nagle on, a response written in pieces waits for the
+/// peer's delayed ACK (~40 ms) before its tail goes out. Both ends of every
+/// connection set it: ConnectTcp, and the server on each accepted socket.
+Status SetNoDelay(int fd);
+
 /// Writes all of \p data (handles partial writes). Returns kCancelled on
 /// EPIPE/ECONNRESET — the peer went away, which streaming treats as a
 /// cancellation, not a server error.

@@ -259,6 +259,8 @@ void SparqlServer::AcceptLoop() {
     if (fd < 0) continue;
     UniqueFd conn(fd);
     metrics_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    IgnoreError(SetNoDelay(conn.get()),
+                "only latency depends on it; the connection still works");
 
     {
       util::MutexLock lock(&mu_);

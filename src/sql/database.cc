@@ -79,10 +79,11 @@ Status Database::QueryStreaming(
 }
 
 Result<QueryResult> Database::QueryAst(const ast::SelectStmt& stmt) {
-  RDFREL_ASSIGN_OR_RETURN(auto mat, RunSelect(catalog_, stmt));
+  CteEnv env;
+  RDFREL_ASSIGN_OR_RETURN(OperatorPtr op, PlanSelect(catalog_, stmt, &env));
   QueryResult qr;
-  qr.columns = mat->scope.Names();
-  qr.rows = std::move(mat->rows);
+  qr.columns = op->scope().Names();
+  RDFREL_ASSIGN_OR_RETURN(qr.rows, CollectRows(op.get()));
   return qr;
 }
 
@@ -91,6 +92,7 @@ Result<QueryResult> Database::QueryProfiled(std::string_view sql,
                                             const ExecOptions* exec) {
   RDFREL_ASSIGN_OR_RETURN(auto stmt, ParseSelect(sql));
   CteEnv env;
+  env.timing = true;
   const ExecControl* control = exec != nullptr ? exec->control : nullptr;
   RDFREL_ASSIGN_OR_RETURN(OperatorPtr op,
                           PlanSelect(catalog_, *stmt, &env, control, exec));
@@ -100,7 +102,11 @@ Result<QueryResult> Database::QueryProfiled(std::string_view sql,
   QueryResult qr;
   qr.columns = op->scope().Names();
   qr.rows = std::move(rows);
-  if (profile_out != nullptr) *profile_out = FormatOperatorStats(*op);
+  // One block per materialized CTE, then the statement's own tree (which
+  // holds a streamed last CTE as its "CTE <name> streamed" subtree).
+  if (profile_out != nullptr) {
+    *profile_out = env.profile + FormatOperatorStats(*op);
+  }
   return qr;
 }
 

@@ -65,9 +65,12 @@ class Database {
   Result<QueryResult> QueryAst(const ast::SelectStmt& stmt);
 
   /// Executes a SELECT with per-operator profiling enabled and renders the
-  /// operator tree (rows/batches/time per operator) into \p profile_out.
-  /// \p exec (optional) enables the parallel executor so EXPLAIN output
-  /// shows Exchange morsel/worker counters.
+  /// operator trees (rows/batches/time per operator) into \p profile_out:
+  /// one "CTE <name> materialized" block per materialized CTE, in
+  /// statement order, then the statement's tree, where a streamed last CTE
+  /// shows as a "CTE <name> streamed" subtree. \p exec (optional) enables
+  /// the parallel executor so the output shows Exchange morsel/worker
+  /// counters, in CTE bodies too.
   Result<QueryResult> QueryProfiled(std::string_view sql,
                                     std::string* profile_out,
                                     const ExecOptions* exec = nullptr);

@@ -102,9 +102,23 @@ class RowBatch {
   /// (each final result row materializes exactly once); borrowed or
   /// selected rows are copied. Templated on the allocator so arena-backed
   /// buffers (sql/parallel.h) drain the same way.
+  /// True when the batch owns its rows and has no selection: every
+  /// physical row is active and may be moved out.
+  bool OwnedDense() const { return !borrowed_ && !has_selection_; }
+
+  /// Hands the live owned rows over to \p out (replacing its contents)
+  /// without touching a row; the batch keeps no storage. Requires
+  /// OwnedDense().
+  void TakeRows(std::vector<Row>* out) {
+    rows_.resize(count_);
+    *out = std::move(rows_);
+    rows_.clear();
+    count_ = 0;
+  }
+
   template <typename Alloc>
   void FlushTo(std::vector<Row, Alloc>* out) {
-    if (!borrowed_ && !has_selection_) {
+    if (OwnedDense()) {
       for (size_t i = 0; i < count_; ++i) out->push_back(std::move(rows_[i]));
       return;
     }

@@ -3,6 +3,10 @@
 /// specific 4xx/5xx codes), URL/query decoding, the streaming result
 /// writers' batch-boundary independence, and the latency histogram.
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <string>
 #include <vector>
 
@@ -11,12 +15,34 @@
 #include "rdf/term.h"
 #include "serve/http.h"
 #include "serve/metrics.h"
+#include "serve/net.h"
 #include "serve/result_writer.h"
 
 namespace rdfrel::serve {
 namespace {
 
 // --- Parser: well-formed requests ---
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(ServeHttpTest, SetNoDelayOnLoopbackPair) {
+  uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, 4, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_NE(NoDelayOf(client->get()), 0);  // ConnectTcp sets it itself
+  UniqueFd accepted(::accept(listener->get(), nullptr, nullptr));
+  ASSERT_TRUE(accepted.valid());
+  ASSERT_TRUE(SetNoDelay(accepted.get()).ok());
+  EXPECT_NE(NoDelayOf(accepted.get()), 0);
+  EXPECT_FALSE(SetNoDelay(-1).ok());
+}
 
 TEST(ServeHttpTest, ParsesSimpleGet) {
   HttpParser p;

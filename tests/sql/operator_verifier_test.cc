@@ -187,9 +187,11 @@ TEST(OperatorVerifierTest, RejectsIndexJoinInnerPredicateOutsideInnerArity) {
 std::shared_ptr<const Materialized> MakeMat(size_t rows) {
   auto mat = std::make_shared<Materialized>();
   mat->scope = MakeScope({"a"});
+  std::vector<Row> data;
   for (size_t i = 0; i < rows; ++i) {
-    mat->rows.push_back({Value::Int(static_cast<int64_t>(i))});
+    data.push_back({Value::Int(static_cast<int64_t>(i))});
   }
+  mat->Append(std::move(data));
   return mat;
 }
 
@@ -247,7 +249,7 @@ TEST(ParallelTestVerifier, RejectsPipelineArityMismatch) {
   auto narrow = MakeMat(100);
   auto wide = std::make_shared<Materialized>();
   wide->scope = MakeScope({"a", "b"});
-  wide->rows.push_back({Value::Int(1), Value::Int(2)});
+  wide->Append(std::vector<Row>{{Value::Int(1), Value::Int(2)}});
   std::vector<ExchangeOp::Pipeline> pipelines;
   auto p0 = ScanPipeline(narrow);
   pipelines.push_back({std::move(p0.root), p0.leaf});

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "benchdata/lubm.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
@@ -431,6 +432,78 @@ TEST_F(StoreTest, ExplainIncludesExecutionProfile) {
   EXPECT_NE(ex->exec_stats.find("rows="), std::string::npos)
       << ex->exec_stats;
   EXPECT_NE(ex->exec_stats.find("batches="), std::string::npos)
+      << ex->exec_stats;
+}
+
+/// The profile block of CTE \p name: its header line and every line
+/// indented deeper below it.
+std::string CteBlock(const std::string& profile, const std::string& name) {
+  const size_t head = profile.find("CTE " + name + " ");
+  if (head == std::string::npos) return "";
+  const size_t line_start = profile.rfind('\n', head) + 1;  // npos+1 == 0
+  const size_t indent = head - line_start;
+  size_t end = profile.find('\n', head);
+  while (end != std::string::npos && end + 1 < profile.size()) {
+    const size_t next = end + 1;
+    const size_t text = profile.find_first_not_of(' ', next);
+    if (text == std::string::npos || text - next <= indent) break;
+    end = profile.find('\n', next);
+  }
+  return profile.substr(line_start, end == std::string::npos
+                                        ? std::string::npos
+                                        : end - line_start);
+}
+
+TEST_F(StoreTest, ExplainProfilesEveryCteOfLq9) {
+  // LQ9's SQL is two CTE chains fanned out from one row each, joined by a
+  // UNION ALL CTE. With four threads and tiny morsels, every CTE that a
+  // materialized CTE drives runs under an Exchange, and each CTE shows as
+  // its own profile block.
+  benchdata::Workload lubm = benchdata::MakeLubm(1, 7);
+  auto store = RdfStore::Load(lubm.graph);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string lq9;
+  for (const auto& q : lubm.queries) {
+    if (q.id == "LQ9") lq9 = q.sparql;
+  }
+  ASSERT_FALSE(lq9.empty());
+  QueryOptions opts;
+  opts.max_threads = 4;
+  opts.morsel_rows = 2;
+  auto ex = (*store)->Explain(lq9, opts);
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  std::vector<std::string> names;
+  for (size_t pos = 0; (pos = ex->sql.find(" AS (", pos)) != std::string::npos;
+       ++pos) {
+    const size_t start = ex->sql.find_last_of(" ,\n", pos - 1) + 1;
+    names.push_back(ex->sql.substr(start, pos - start));
+  }
+  ASSERT_GE(names.size(), 3u) << ex->sql;
+  size_t parallel = 0;
+  for (const std::string& name : names) {
+    const std::string block = CteBlock(ex->exec_stats, name);
+    ASSERT_FALSE(block.empty()) << name << "\n" << ex->exec_stats;
+    // A body driven by a materialized CTE of more than one 2-row morsel
+    // must have run under an Exchange.
+    const size_t scan = block.find("MaterializedScan(");
+    if (scan == std::string::npos) continue;
+    const size_t open = scan + std::string("MaterializedScan(").size();
+    const std::string input = block.substr(open, block.find(')', open) - open);
+    const std::string header = "CTE " + input + " materialized: rows=";
+    const size_t rows_at = ex->exec_stats.find(header);
+    ASSERT_NE(rows_at, std::string::npos) << input << "\n" << ex->exec_stats;
+    if (std::stoull(ex->exec_stats.substr(rows_at + header.size())) <= 2) {
+      continue;
+    }
+    EXPECT_NE(block.find("Exchange: rows="), std::string::npos)
+        << name << "\n" << block;
+    EXPECT_NE(block.find("morsels="), std::string::npos) << block;
+    ++parallel;
+  }
+  EXPECT_GE(parallel, 2u) << ex->exec_stats;
+  // The UNION ALL CTE is last and only renamed by the outer SELECT.
+  EXPECT_NE(ex->exec_stats.find("CTE " + names.back() + " streamed"),
+            std::string::npos)
       << ex->exec_stats;
 }
 
