@@ -1,6 +1,6 @@
 /// \file bench_engine.cc
 /// google-benchmark microbenchmarks for the embedded relational engine's
-/// primitives: row serde, B+-tree, hash index, dictionary encoding, and
+/// primitives: row serde, the equality index, dictionary encoding, and
 /// end-to-end SQL evaluation paths (index scan, hash join, star lookup).
 ///
 /// `bench_engine --threads N` instead runs the intra-query parallelism
@@ -28,7 +28,6 @@
 #include "benchdata/lubm.h"
 #include "rdf/dictionary.h"
 #include "shard/sharded_store.h"
-#include "sql/btree.h"
 #include "sql/database.h"
 #include "sql/hash_index.h"
 #include "sql/row.h"
@@ -53,46 +52,32 @@ void BM_RowSerde(benchmark::State& state) {
 }
 BENCHMARK(BM_RowSerde);
 
-void BM_BTreeInsert(benchmark::State& state) {
+void BM_HashIndexAppend(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (auto _ : state) {
-    sql::BPlusTree tree;
+    sql::HashIndex idx;
     for (int64_t i = 0; i < n; ++i) {
-      tree.Insert(sql::Value::Int(i * 2654435761 % n),
-                  sql::RowId{0, static_cast<uint32_t>(i)});
+      idx.Append(sql::Value::Int(i * 2654435761 % n),
+                 sql::RowId{0, static_cast<uint32_t>(i)});
     }
-    benchmark::DoNotOptimize(tree.size());
+    benchmark::DoNotOptimize(idx.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(100000);
-
-void BM_BTreeLookup(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  sql::BPlusTree tree;
-  for (int64_t i = 0; i < n; ++i) {
-    tree.Insert(sql::Value::Int(i), sql::RowId{0, static_cast<uint32_t>(i)});
-  }
-  int64_t k = 0;
-  for (auto _ : state) {
-    auto rids = tree.Lookup(sql::Value::Int(k++ % n));
-    benchmark::DoNotOptimize(rids);
-  }
-}
-BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_HashIndexAppend)->Arg(1000)->Arg(100000);
 
 void BM_HashIndexLookup(benchmark::State& state) {
   const int64_t n = state.range(0);
   sql::HashIndex idx;
   for (int64_t i = 0; i < n; ++i) {
-    idx.Insert(sql::Value::Int(i), sql::RowId{0, static_cast<uint32_t>(i)});
+    idx.Append(sql::Value::Int(i), sql::RowId{0, static_cast<uint32_t>(i)});
   }
   int64_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(idx.Lookup(sql::Value::Int(k++ % n)));
   }
 }
-BENCHMARK(BM_HashIndexLookup)->Arg(100000);
+BENCHMARK(BM_HashIndexLookup)->Arg(1000)->Arg(100000);
 
 void BM_DictionaryEncode(benchmark::State& state) {
   for (auto _ : state) {

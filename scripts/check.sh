@@ -67,7 +67,7 @@ echo
 echo "== [2/9] Flake gate: repeated parallel runs of race-prone tests =="
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}" --repeat until-fail:5 \
-    -R 'Differential|Reference|Suppression|JoinBoundary|IndexKindTest|IndexJoinPushdown|ParallelTest')
+    -R 'Differential|Reference|Suppression|JoinBoundary|IndexPostingsTest|IndexJoinPushdown|ParallelTest|PersistTestWal')
 
 echo
 echo "== [3/9] ThreadSanitizer: concurrency + parallel + serve + shard =="

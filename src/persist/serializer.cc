@@ -8,6 +8,7 @@ namespace {
 
 constexpr uint8_t kMappingHash = 0;
 constexpr uint8_t kMappingColoring = 1;
+constexpr uint8_t kIndexKindByte = 0;  ///< see EncodeTable
 
 void PutCountMap(std::string* out,
                  const std::unordered_map<uint64_t, uint64_t>& m) {
@@ -294,7 +295,9 @@ void EncodeTable(std::string* out, const sql::Table& table) {
   for (const auto& idx : table.indexes()) {
     PutString(out, idx->name);
     PutString(out, schema.column(static_cast<size_t>(idx->column)).name);
-    PutU8(out, static_cast<uint8_t>(idx->kind));
+    // The index-kind byte stays in the format; every index is the same
+    // flat equality index now, so its value carries no meaning.
+    PutU8(out, kIndexKindByte);
   }
   PutU64(out, table.row_count());
   // Scan visits live rows in heap order; reload re-inserts in that order.
@@ -324,7 +327,6 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   struct IndexSpec {
     std::string name;
     std::string column;
-    sql::IndexKind kind;
   };
   RDFREL_ASSIGN_OR_RETURN(uint32_t n_indexes, r->ReadU32());
   std::vector<IndexSpec> indexes;
@@ -335,8 +337,9 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
     spec.name = std::string(idx_name);
     RDFREL_ASSIGN_OR_RETURN(std::string_view col_name, r->ReadString());
     spec.column = std::string(col_name);
-    RDFREL_ASSIGN_OR_RETURN(uint8_t kind, r->ReadU8());
-    spec.kind = static_cast<sql::IndexKind>(kind);
+    // Any kind byte is accepted: snapshots that predate the single index
+    // structure wrote 0 (B+-tree) or 1 (hash).
+    RDFREL_RETURN_NOT_OK(r->ReadU8().status());
     indexes.push_back(std::move(spec));
   }
 
@@ -356,7 +359,7 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   // Indexes last: CreateIndex backfills from the freshly inserted rows —
   // the "rebuild indexes on load" path.
   for (const auto& spec : indexes) {
-    RDFREL_RETURN_NOT_OK(table->CreateIndex(spec.name, spec.column, spec.kind));
+    RDFREL_RETURN_NOT_OK(table->CreateIndex(spec.name, spec.column));
   }
   return Status::OK();
 }

@@ -49,10 +49,9 @@ size_t Dictionary::MemoryUsage() const {
     bytes += key.capacity() + sizeof(uint64_t) + 32;  // bucket overhead est.
     (void)id;
   }
-  for (const auto& t : terms_) {
-    bytes += t.lexical().capacity() + t.language().capacity() +
-             t.datatype().capacity() + sizeof(Term);
-  }
+  // Each term's shared representation once: decoded copies share it.
+  bytes += terms_.capacity() * sizeof(Term);
+  for (const auto& t : terms_) bytes += t.SharedBytes();
   return bytes;
 }
 

@@ -6,51 +6,62 @@
 
 namespace rdfrel::rdf {
 
-Term Term::Iri(std::string iri) {
+Term Term::Make(TermKind kind, std::string lexical, std::string language,
+                std::string datatype) {
+  Rep* rep = new Rep;
+  rep->kind = kind;
+  rep->lexical = std::move(lexical);
+  rep->language = std::move(language);
+  rep->datatype = std::move(datatype);
   Term t;
-  t.kind_ = TermKind::kIri;
-  t.lexical_ = std::move(iri);
+  t.rep_ = rep;
   return t;
+}
+
+const std::string& Term::EmptyString() {
+  static const std::string* const kEmpty = new std::string();
+  return *kEmpty;
+}
+
+Term Term::Iri(std::string iri) {
+  return Make(TermKind::kIri, std::move(iri), {}, {});
 }
 
 Term Term::Literal(std::string lexical) {
-  Term t;
-  t.kind_ = TermKind::kLiteral;
-  t.lexical_ = std::move(lexical);
-  return t;
+  return Make(TermKind::kLiteral, std::move(lexical), {}, {});
 }
 
 Term Term::LangLiteral(std::string lexical, std::string lang) {
-  Term t = Literal(std::move(lexical));
-  t.language_ = std::move(lang);
-  return t;
+  return Make(TermKind::kLiteral, std::move(lexical), std::move(lang), {});
 }
 
 Term Term::TypedLiteral(std::string lexical, std::string datatype_iri) {
-  Term t = Literal(std::move(lexical));
-  t.datatype_ = std::move(datatype_iri);
-  return t;
+  return Make(TermKind::kLiteral, std::move(lexical), {},
+              std::move(datatype_iri));
 }
 
 Term Term::BlankNode(std::string label) {
-  Term t;
-  t.kind_ = TermKind::kBlankNode;
-  t.lexical_ = std::move(label);
-  return t;
+  return Make(TermKind::kBlankNode, std::move(label), {}, {});
+}
+
+size_t Term::SharedBytes() const {
+  if (rep_ == nullptr) return 0;
+  return sizeof(Rep) + rep_->lexical.capacity() +
+         rep_->language.capacity() + rep_->datatype.capacity();
 }
 
 std::string Term::ToNTriples() const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kIri:
-      return "<" + lexical_ + ">";
+      return "<" + lexical() + ">";
     case TermKind::kBlankNode:
-      return "_:" + lexical_;
+      return "_:" + lexical();
     case TermKind::kLiteral: {
-      std::string out = "\"" + NtEscape(lexical_) + "\"";
-      if (!language_.empty()) {
-        out += "@" + language_;
-      } else if (!datatype_.empty()) {
-        out += "^^<" + datatype_ + ">";
+      std::string out = "\"" + NtEscape(lexical()) + "\"";
+      if (!language().empty()) {
+        out += "@" + language();
+      } else if (!datatype().empty()) {
+        out += "^^<" + datatype() + ">";
       }
       return out;
     }
@@ -62,28 +73,30 @@ std::string Term::DictionaryKey() const {
   // Prefix with a kind tag so an IRI and a literal with the same lexical form
   // never collide; N-Triples syntax already guarantees this but the tag makes
   // the key self-describing for decode.
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kIri:
-      return "I" + lexical_;
+      return "I" + lexical();
     case TermKind::kBlankNode:
-      return "B" + lexical_;
+      return "B" + lexical();
     case TermKind::kLiteral:
-      if (!language_.empty()) return "L@" + language_ + "\x1f" + lexical_;
-      if (!datatype_.empty()) return "L^" + datatype_ + "\x1f" + lexical_;
-      return "L\x1f" + lexical_;
+      if (!language().empty()) return "L@" + language() + "\x1f" + lexical();
+      if (!datatype().empty()) return "L^" + datatype() + "\x1f" + lexical();
+      return "L\x1f" + lexical();
   }
   return "";
 }
 
 bool Term::operator==(const Term& other) const {
-  return kind_ == other.kind_ && lexical_ == other.lexical_ &&
-         language_ == other.language_ && datatype_ == other.datatype_;
+  if (rep_ == other.rep_) return true;
+  return kind() == other.kind() && lexical() == other.lexical() &&
+         language() == other.language() && datatype() == other.datatype();
 }
 
 bool Term::operator<(const Term& other) const {
-  return std::tie(kind_, lexical_, language_, datatype_) <
-         std::tie(other.kind_, other.lexical_, other.language_,
-                  other.datatype_);
+  const TermKind a = kind();
+  const TermKind b = other.kind();
+  return std::tie(a, lexical(), language(), datatype()) <
+         std::tie(b, other.lexical(), other.language(), other.datatype());
 }
 
 std::string Triple::ToNTriples() const {

@@ -4,9 +4,11 @@
 /// \file term.h
 /// RDF terms (IRIs, literals, blank nodes) and triples, per RDF 1.0 [14].
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/status.h"
 
@@ -19,11 +21,28 @@ enum class TermKind : uint8_t {
   kBlankNode,   ///< e.g. _:b42
 };
 
-/// An RDF term. Value type; literals carry optional language tag or datatype
-/// IRI (mutually exclusive, per the RDF spec).
+/// An RDF term. Value semantics over an immutable, shared representation:
+/// a Term is a handle, so copying one (as every decoded result cell does,
+/// out of the Dictionary) bumps a reference count instead of copying its
+/// strings. Handles are safe to copy and destroy from any number of threads
+/// at once. Literals carry an optional language tag or datatype IRI
+/// (mutually exclusive, per the RDF spec).
 class Term {
  public:
-  Term() : kind_(TermKind::kIri) {}
+  /// The IRI with an empty lexical form (holds no representation).
+  Term() = default;
+  Term(const Term& other) noexcept : rep_(other.rep_) { Ref(); }
+  Term(Term&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
+  Term& operator=(const Term& other) noexcept {
+    Term copy(other);
+    std::swap(rep_, copy.rep_);
+    return *this;
+  }
+  Term& operator=(Term&& other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~Term() { Unref(); }
 
   /// Factory for an IRI term. \p iri is the IRI *without* angle brackets.
   static Term Iri(std::string iri);
@@ -36,17 +55,27 @@ class Term {
   /// Factory for a blank node; \p label without the "_:" prefix.
   static Term BlankNode(std::string label);
 
-  TermKind kind() const { return kind_; }
-  bool is_iri() const { return kind_ == TermKind::kIri; }
-  bool is_literal() const { return kind_ == TermKind::kLiteral; }
-  bool is_blank() const { return kind_ == TermKind::kBlankNode; }
+  TermKind kind() const { return rep_ ? rep_->kind : TermKind::kIri; }
+  bool is_iri() const { return kind() == TermKind::kIri; }
+  bool is_literal() const { return kind() == TermKind::kLiteral; }
+  bool is_blank() const { return kind() == TermKind::kBlankNode; }
 
   /// IRI string, literal lexical form, or blank node label.
-  const std::string& lexical() const { return lexical_; }
+  const std::string& lexical() const {
+    return rep_ ? rep_->lexical : EmptyString();
+  }
   /// Language tag (empty when none).
-  const std::string& language() const { return language_; }
+  const std::string& language() const {
+    return rep_ ? rep_->language : EmptyString();
+  }
   /// Datatype IRI (empty when none).
-  const std::string& datatype() const { return datatype_; }
+  const std::string& datatype() const {
+    return rep_ ? rep_->datatype : EmptyString();
+  }
+
+  /// Heap bytes of the shared representation this handle points to (0
+  /// for a default-constructed term); shared by every copy.
+  size_t SharedBytes() const;
 
   /// Canonical N-Triples serialization of this term.
   std::string ToNTriples() const;
@@ -61,10 +90,25 @@ class Term {
   bool operator<(const Term& other) const;
 
  private:
-  TermKind kind_;
-  std::string lexical_;
-  std::string language_;
-  std::string datatype_;
+  struct Rep {
+    mutable std::atomic<uint32_t> refs{1};
+    TermKind kind = TermKind::kIri;
+    std::string lexical;
+    std::string language;
+    std::string datatype;
+  };
+
+  static Term Make(TermKind kind, std::string lexical, std::string language,
+                   std::string datatype);
+  static const std::string& EmptyString();
+  void Ref() const {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1);
+  }
+  void Unref() {
+    if (rep_ != nullptr && rep_->refs.fetch_sub(1) == 1) delete rep_;
+  }
+
+  const Rep* rep_ = nullptr;
 };
 
 /// A subject-predicate-object triple of Terms.

@@ -42,13 +42,13 @@ Result<std::unique_ptr<Db2RdfSchema>> Db2RdfSchema::Create(
       schema->rs_, cat.CreateTable(schema->rs_name(), SecondarySchema()));
   if (config.create_indexes) {
     RDFREL_RETURN_NOT_OK(schema->dph_->CreateIndex(
-        schema->dph_name() + "_entry", "entry", sql::IndexKind::kBTree));
+        schema->dph_name() + "_entry", "entry"));
     RDFREL_RETURN_NOT_OK(schema->rph_->CreateIndex(
-        schema->rph_name() + "_entry", "entry", sql::IndexKind::kBTree));
+        schema->rph_name() + "_entry", "entry"));
     RDFREL_RETURN_NOT_OK(schema->ds_->CreateIndex(
-        schema->ds_name() + "_lid", "l_id", sql::IndexKind::kHash));
+        schema->ds_name() + "_lid", "l_id"));
     RDFREL_RETURN_NOT_OK(schema->rs_->CreateIndex(
-        schema->rs_name() + "_lid", "l_id", sql::IndexKind::kHash));
+        schema->rs_name() + "_lid", "l_id"));
   }
   return schema;
 }

@@ -31,7 +31,7 @@ struct Db2RdfConfig {
   uint32_t k_reverse = 32;
   /// Table-name prefix, so several stores can share a Database.
   std::string prefix = "";
-  /// Create B+-tree indexes on DPH.entry / RPH.entry and hash indexes on
+  /// Create equality indexes on DPH.entry / RPH.entry and on
   /// DS.l_id / RS.l_id (the paper indexes only the entry columns).
   bool create_indexes = true;
 };

@@ -1,6 +1,7 @@
 #include "schema/loader.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -187,7 +188,9 @@ Status Loader::InsertTriple(const rdf::Dictionary& dict,
     const sql::IndexInfo* idx = dir.primary->FindIndexOn("entry");
     std::vector<sql::RowId> rids;
     if (idx != nullptr) {
-      rids = idx->Lookup(Value::Int(static_cast<int64_t>(entity)));
+      std::span<const sql::RowId> found =
+          idx->Lookup(Value::Int(static_cast<int64_t>(entity)));
+      rids.assign(found.begin(), found.end());
     } else {
       // Fall back to a scan (index-less configurations).
       RDFREL_RETURN_NOT_OK(dir.primary->Scan(
@@ -334,8 +337,9 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
     if (idx == nullptr) {
       return Status::Unsupported("delete requires the entry index");
     }
-    std::vector<sql::RowId> rids =
+    std::span<const sql::RowId> found =
         idx->Lookup(Value::Int(static_cast<int64_t>(entity)));
+    std::vector<sql::RowId> rids(found.begin(), found.end());
     std::sort(rids.begin(), rids.end());
 
     bool removed = false;
@@ -356,8 +360,9 @@ Status Loader::DeleteTriple(const rdf::Dictionary& dict,
             return Status::Unsupported("delete requires the l_id index");
           }
           // A copy: Lookup borrows the posting list that Delete mutates.
-          const std::vector<sql::RowId> srids =
+          std::span<const sql::RowId> found_s =
               sidx->Lookup(Value::Int(stored));
+          const std::vector<sql::RowId> srids(found_s.begin(), found_s.end());
           for (sql::RowId srid : srids) {
             RDFREL_ASSIGN_OR_RETURN(Row srow, dir.secondary->Get(srid));
             if (srow[1].AsInt() == static_cast<int64_t>(value)) {

@@ -173,7 +173,7 @@ struct CreateIndexStmt {
   std::string index_name;
   std::string table_name;
   std::string column_name;
-  bool hash = false;  ///< CREATE HASH INDEX vs (default) B+-tree
+  bool hash = false;  ///< spelled CREATE HASH INDEX (same index either way)
 };
 
 struct InsertStmt {

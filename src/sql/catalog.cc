@@ -8,7 +8,7 @@ Table::Table(std::string name, Schema schema, size_t page_size)
     : name_(std::move(name)), storage_(std::move(schema), page_size) {}
 
 Status Table::CreateIndex(const std::string& index_name,
-                          const std::string& column_name, IndexKind kind) {
+                          const std::string& column_name) {
   if (FindIndexByName(index_name) != nullptr) {
     return Status::AlreadyExists("index " + index_name);
   }
@@ -19,12 +19,6 @@ Status Table::CreateIndex(const std::string& index_name,
   auto idx = std::make_unique<IndexInfo>();
   idx->name = index_name;
   idx->column = col;
-  idx->kind = kind;
-  if (kind == IndexKind::kBTree) {
-    idx->btree = std::make_unique<BPlusTree>();
-  } else {
-    idx->hash = std::make_unique<HashIndex>();
-  }
   IndexInfo* raw = idx.get();
   // Backfill from existing rows.
   RDFREL_RETURN_NOT_OK(storage_.Scan([&](RowId rid, const Row& row) {
@@ -58,21 +52,13 @@ void Table::IndexInsert(IndexInfo* idx, const Row& row, RowId rid) {
   // Insert, re-posted by Update right after IndexRemove, or visited once by
   // the CreateIndex backfill. Append skips the duplicate scan, which is
   // quadratic in the posting-list length of a hot key.
-  if (idx->kind == IndexKind::kBTree) {
-    idx->btree->Append(key, rid);
-  } else {
-    idx->hash->Append(key, rid);
-  }
+  idx->index.Append(key, rid);
 }
 
 void Table::IndexRemove(IndexInfo* idx, const Row& row, RowId rid) {
   const Value& key = row[static_cast<size_t>(idx->column)];
   if (key.is_null()) return;
-  if (idx->kind == IndexKind::kBTree) {
-    idx->btree->Remove(key, rid);
-  } else {
-    idx->hash->Remove(key, rid);
-  }
+  idx->index.Remove(key, rid);
 }
 
 Result<RowId> Table::Insert(const Row& row) {

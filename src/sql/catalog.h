@@ -8,10 +8,10 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "sql/btree.h"
 #include "sql/hash_index.h"
 #include "sql/table_storage.h"
 #include "util/lru_cache.h"
@@ -20,23 +20,18 @@
 
 namespace rdfrel::sql {
 
-enum class IndexKind { kBTree, kHash };
-
-/// A secondary index on one column of a table.
+/// A secondary index on one column of a table: a flat equality index
+/// (sql/hash_index.h). NULLs are not indexed.
 struct IndexInfo {
   std::string name;
   int column = -1;
-  IndexKind kind = IndexKind::kBTree;
-  std::unique_ptr<BPlusTree> btree;
-  std::unique_ptr<HashIndex> hash;
+  HashIndex index;
 
-  /// RowIds matching \p key through whichever structure backs this index,
-  /// borrowed in place (B+-tree leaf entry or hash bucket): valid until the
-  /// next mutation of the table. Readers rely on the store's writer lock to
-  /// keep a probe's posting list stable for the whole query.
-  const std::vector<RowId>& Lookup(const Value& key) const {
-    return kind == IndexKind::kBTree ? btree->Lookup(key)
-                                     : hash->Lookup(key);
+  /// RowIds matching \p key, borrowed in place from the index: valid until
+  /// the next mutation of the table. Readers rely on the store's writer
+  /// lock to keep a probe's posting list stable for the whole query.
+  std::span<const RowId> Lookup(const Value& key) const {
+    return index.Lookup(key);
   }
 };
 
@@ -70,7 +65,7 @@ class Table {
   /// Builds an index over existing rows; errors on duplicate name or
   /// unknown column.
   Status CreateIndex(const std::string& index_name,
-                     const std::string& column_name, IndexKind kind);
+                     const std::string& column_name);
 
   /// Index over \p column_name, or nullptr.
   const IndexInfo* FindIndexOn(const std::string& column_name) const;

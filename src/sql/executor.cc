@@ -20,6 +20,33 @@ Scope TableScope(const Table* table, const std::string& alias) {
   return s;
 }
 
+/// The scope of \p table's columns \p cols (stored slots, in order).
+Scope TableScope(const Table* table, const std::string& alias,
+                 const std::vector<int>& cols) {
+  Scope s;
+  for (int c : cols) {
+    s.Add(alias, table->schema().column(static_cast<size_t>(c)).name);
+  }
+  return s;
+}
+
+/// " cols=E/N": emitted of \p table's stored columns.
+std::string ColsSuffix(size_t emitted, const Table* table) {
+  return " cols=" + std::to_string(emitted) + "/" +
+         std::to_string(table->schema().num_columns());
+}
+
+/// Whether every entry of \p cols is a slot of \p table.
+Status CheckColumns(const std::vector<int>& cols, const Table* table) {
+  for (int c : cols) {
+    if (c < 0 || static_cast<size_t>(c) >= table->schema().num_columns()) {
+      return Status::InternalPlanError("emitted column " + std::to_string(c) +
+                                       " outside the table's arity");
+    }
+  }
+  return Status::OK();
+}
+
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -181,7 +208,8 @@ Result<bool> SeqScanOp::NextBatchImpl(RowBatch* out) {
 
 void RowReader::Reset() {
   decoded_ = table_->row_count() <= Table::kDecodedRowBudget;
-  page_.reset();
+  for (uint32_t p : touched_) pinned_[p].reset();
+  touched_.clear();
 }
 
 Result<const Row*> RowReader::Read(RowId rid) {
@@ -196,37 +224,50 @@ Result<const Row*> RowReader::Read(RowId rid) {
         DeserializeRowInto(table_->schema(), bytes, &scratch_));
     return &scratch_;
   }
-  if (page_ == nullptr || rid.page != page_no_) {
-    RDFREL_ASSIGN_OR_RETURN(page_, table_->DecodePage(rid.page));
-    page_no_ = rid.page;
+  if (rid.page >= pinned_.size()) pinned_.resize(heap.num_pages());
+  std::shared_ptr<const DecodedPage>& page = pinned_[rid.page];
+  if (page == nullptr) {
+    RDFREL_ASSIGN_OR_RETURN(page, table_->DecodePage(rid.page));
+    touched_.push_back(rid.page);
   }
-  if (rid.slot >= page_->slot_index.size() ||
-      page_->slot_index[rid.slot] == DecodedPage::kDeadSlot) {
+  if (rid.slot >= page->slot_index.size() ||
+      page->slot_index[rid.slot] == DecodedPage::kDeadSlot) {
     return Status::Internal("rid slot not live");
   }
-  return &page_->rows[page_->slot_index[rid.slot]];
+  return &page->rows[page->slot_index[rid.slot]];
 }
 
 // ------------------------------------------------------------ IndexScanOp
 
 IndexScanOp::IndexScanOp(const Table* table, const std::string& alias,
-                         const IndexInfo* index, Value key)
-    : table_(table), index_(index), key_(std::move(key)), reader_(table) {
-  scope_ = TableScope(table, alias);
+                         const IndexInfo* index, Value key,
+                         std::vector<int> columns)
+    : table_(table),
+      index_(index),
+      key_(std::move(key)),
+      columns_(std::move(columns)),
+      reader_(table) {
+  scope_ = TableScope(table, alias, columns_);
 }
 
 Status IndexScanOp::Open() {
-  rids_ = &index_->Lookup(key_);
+  rids_ = index_->Lookup(key_);
   pos_ = 0;
   reader_.Reset();
   return Status::OK();
 }
 
+std::string IndexScanOp::StatsSuffix() const {
+  return ColsSuffix(columns_.size(), table_);
+}
+
 Result<bool> IndexScanOp::NextBatchImpl(RowBatch* out) {
-  if (rids_ == nullptr || pos_ >= rids_->size()) return false;
-  while (pos_ < rids_->size() && !out->Full()) {
-    RDFREL_ASSIGN_OR_RETURN(const Row* row, reader_.Read((*rids_)[pos_++]));
-    *out->AddRow() = *row;
+  if (pos_ >= rids_.size()) return false;
+  while (pos_ < rids_.size() && !out->Full()) {
+    RDFREL_ASSIGN_OR_RETURN(const Row* row, reader_.Read(rids_[pos_++]));
+    Row* slot = out->AddRow();
+    slot->clear();
+    for (int c : columns_) slot->push_back((*row)[static_cast<size_t>(c)]);
   }
   return true;
 }
@@ -609,6 +650,7 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
                              const std::string& inner_alias,
                              const IndexInfo* index, BoundExprPtr outer_key,
                              bool left_outer, BoundExprPtr residual,
+                             std::vector<int> inner_cols,
                              std::vector<InnerPredicate> inner_preds)
     : outer_(std::move(outer)),
       inner_(inner),
@@ -616,10 +658,11 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
       outer_key_(std::move(outer_key)),
       left_outer_(left_outer),
       residual_(std::move(residual)),
+      inner_cols_(std::move(inner_cols)),
       inner_preds_(std::move(inner_preds)),
       reader_(inner) {
   scope_ = outer_->scope();
-  scope_.Append(TableScope(inner, inner_alias));
+  scope_.Append(TableScope(inner, inner_alias, inner_cols_));
   for (const InnerPredicate& p : inner_preds_) {
     int slot = -1;
     const Value* lit = nullptr;
@@ -632,7 +675,7 @@ Status IndexNLJoinOp::Open() {
   RDFREL_RETURN_NOT_OK(outer_->Open());
   outer_batch_.Reset();
   outer_pos_ = 0;
-  postings_ = nullptr;
+  probing_ = false;
   posting_pos_ = 0;
   matched_ = false;
   reader_.Reset();
@@ -642,7 +685,8 @@ Status IndexNLJoinOp::Open() {
 std::string IndexNLJoinOp::StatsSuffix() const {
   std::string out = " probes=" + std::to_string(probes_) +
                     " fetched=" + std::to_string(fetched_) +
-                    " rejected=" + std::to_string(rejected_);
+                    " rejected=" + std::to_string(rejected_) +
+                    ColsSuffix(inner_cols_.size(), inner_);
   if (!inner_preds_.empty()) {
     out += " inner=[";
     for (size_t i = 0; i < inner_preds_.size(); ++i) {
@@ -677,13 +721,12 @@ Result<bool> IndexNLJoinOp::PassesInner(const Row& inner) const {
 }
 
 Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
-  static const std::vector<RowId> kNoPostings;
   // The cursor (outer_pos_, posting_pos_) pauses wherever `out` fills —
   // between outer rows or inside one outer row's posting list — so a chain
   // of joins hands capacity-sized batches downstream even when one key
   // fans out to thousands of inner rows.
   while (!out->Full()) {
-    if (postings_ == nullptr) {
+    if (!probing_) {
       if (outer_pos_ >= outer_batch_.ActiveSize()) {
         RDFREL_ASSIGN_OR_RETURN(bool has, outer_->NextBatch(&outer_batch_));
         if (!has) return out->size() > 0;
@@ -693,18 +736,19 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
       }
       const Value& key = key_col_[outer_pos_];
       if (key.is_null()) {
-        postings_ = &kNoPostings;  // NULL keys never join
+        postings_ = {};  // NULL keys never join
       } else {
-        postings_ = &index_->Lookup(key);
+        postings_ = index_->Lookup(key);
         ++probes_;
       }
+      probing_ = true;
       posting_pos_ = 0;
       matched_ = false;
     }
     const Row& outer_row = outer_batch_.Active(outer_pos_);
-    while (posting_pos_ < postings_->size() && !out->Full()) {
+    while (posting_pos_ < postings_.size() && !out->Full()) {
       RDFREL_ASSIGN_OR_RETURN(const Row* inner,
-                              reader_.Read((*postings_)[posting_pos_++]));
+                              reader_.Read(postings_[posting_pos_++]));
       ++fetched_;
       RDFREL_ASSIGN_OR_RETURN(bool pass, PassesInner(*inner));
       if (!pass) {
@@ -712,8 +756,11 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
         continue;
       }
       Row* slot = out->AddRow();
+      slot->reserve(outer_row.size() + inner_cols_.size());
       *slot = outer_row;
-      slot->insert(slot->end(), inner->begin(), inner->end());
+      for (int c : inner_cols_) {
+        slot->push_back((*inner)[static_cast<size_t>(c)]);
+      }
       if (residual_) {
         RDFREL_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*residual_, *slot));
         if (!ok) {
@@ -723,13 +770,13 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* out) {
       }
       matched_ = true;
     }
-    if (posting_pos_ < postings_->size() || out->Full()) break;
+    if (posting_pos_ < postings_.size() || out->Full()) break;
     if (left_outer_ && !matched_) {
       Row* slot = out->AddRow();
       *slot = outer_row;
-      slot->insert(slot->end(), inner_->schema().num_columns(), Value::Null());
+      slot->insert(slot->end(), inner_cols_.size(), Value::Null());
     }
-    postings_ = nullptr;
+    probing_ = false;
     ++outer_pos_;
   }
   return out->size() > 0;
@@ -1168,11 +1215,11 @@ Status SeqScanOp::VerifySelf() const {
 }
 
 Status IndexScanOp::VerifySelf() const {
-  if (scope_.size() != table_->schema().num_columns()) {
+  RDFREL_RETURN_NOT_OK(CheckColumns(columns_, table_));
+  if (scope_.size() != columns_.size()) {
     return Status::InternalPlanError(
         "scope arity " + std::to_string(scope_.size()) +
-        " != table column count " +
-        std::to_string(table_->schema().num_columns()));
+        " != emitted column count " + std::to_string(columns_.size()));
   }
   if (index_ == nullptr) {
     return Status::InternalPlanError("index scan without an index");
@@ -1248,11 +1295,11 @@ Status IndexNLJoinOp::VerifySelf() const {
   }
   RDFREL_RETURN_NOT_OK(
       CheckExprSlots(*outer_key_, outer_->scope().size(), "outer key"));
-  if (scope_.size() !=
-      outer_->scope().size() + inner_->schema().num_columns()) {
+  RDFREL_RETURN_NOT_OK(CheckColumns(inner_cols_, inner_));
+  if (scope_.size() != outer_->scope().size() + inner_cols_.size()) {
     return Status::InternalPlanError(
         "scope arity " + std::to_string(scope_.size()) +
-        " != outer + inner arities");
+        " != outer arity + emitted inner columns");
   }
   if (residual_ != nullptr) {
     RDFREL_RETURN_NOT_OK(

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -239,42 +240,48 @@ class SeqScanOp final : public Operator, public MorselSource {
 
 /// Reads rows of one table by RowId for the index-driven operators. Within
 /// Table::kDecodedRowBudget a row is borrowed in place from its decoded
-/// page, and the page stays pinned across consecutive rids on it: one
-/// DecodePage call (lock, counter, refcount) per run of rids on a page, not
-/// per rid, and no row copy. Larger tables deserialize the heap cell into a
+/// page, and every page read stays pinned until the next Reset: a probe
+/// that lands on a page already touched takes no page-cache lock, counter
+/// or refcount, and copies no row. So the page cache sees one lookup per
+/// distinct page per Open. Larger tables deserialize the heap cell into a
 /// scratch row instead of re-decoding whole pages per probe. Both paths
 /// range-check the rid's page and slot.
 class RowReader {
  public:
   explicit RowReader(const Table* table) : table_(table) {}
 
-  /// Unpins the current page and re-reads the table size (call from the
-  /// owning operator's Open()).
+  /// Unpins every page and re-reads the table size (call from the owning
+  /// operator's Open()).
   void Reset();
 
-  /// The row at \p rid; valid until the next Read or Reset.
+  /// The row at \p rid; valid until the next Reset (decoded path) or the
+  /// next Read (heap-cell path).
   Result<const Row*> Read(RowId rid);
 
  private:
   const Table* table_;
   bool decoded_ = true;  ///< table fits the decoded-page budget
-  std::shared_ptr<const DecodedPage> page_;  ///< pinned page (decoded_)
-  uint32_t page_no_ = 0;                     ///< its page number
-  Row scratch_;                              ///< heap-cell path buffer
+  /// Pinned pages by page number (decoded_); null where not yet read.
+  std::vector<std::shared_ptr<const DecodedPage>> pinned_;
+  std::vector<uint32_t> touched_;  ///< page numbers pinned since Reset
+  Row scratch_;                    ///< heap-cell path buffer
 };
 
 /// Point index lookup: emits rows whose indexed column equals a constant.
 /// The posting list is borrowed from the index; rows are read through a
-/// RowReader and copied once, into the output batch.
+/// RowReader, and only the planner-chosen \p columns of each are copied
+/// into the output batch (DESIGN.md §7, "Column pruning").
 class IndexScanOp final : public Operator {
  public:
   IndexScanOp(const Table* table, const std::string& alias,
-              const IndexInfo* index, Value key);
+              const IndexInfo* index, Value key, std::vector<int> columns);
   Status Open() override;
   std::string name() const override {
     return "IndexScan(" + table_->name() + ")";
   }
   Status VerifySelf() const override;
+  /// " cols=E/N": emitted of stored columns.
+  std::string StatsSuffix() const override;
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* out) override;
@@ -283,8 +290,9 @@ class IndexScanOp final : public Operator {
   const Table* table_;
   const IndexInfo* index_;
   Value key_;
+  std::vector<int> columns_;  ///< stored slots emitted, in output order
   RowReader reader_;
-  const std::vector<RowId>* rids_ = nullptr;  ///< borrowed posting list
+  std::span<const RowId> rids_;  ///< borrowed posting list
   size_t pos_ = 0;
 };
 
@@ -442,17 +450,19 @@ struct InnerPredicate {
 /// from its pinned decoded page (RowReader), tests the pushed inner
 /// predicates on the borrowed row — `slot = literal` by a direct
 /// EqualsNonNull, anything else through EvalPredicate — and only then
-/// assembles the joined row and applies the residual. The resume cursor
-/// (outer row, position in its posting list) pauses wherever the output
-/// batch fills, so no batch exceeds its capacity however many inner rows
-/// one outer key matches. Borrowing is safe because writers hold the
-/// store's exclusive lock, which no query overlaps.
+/// assembles the joined row: the outer row plus the planner-chosen
+/// \p inner_cols of the inner one (DESIGN.md §7, "Column pruning"), on
+/// which the residual runs. A LEFT OUTER join pads those columns only. The
+/// resume cursor (outer row, position in its posting list) pauses wherever
+/// the output batch fills, so no batch exceeds its capacity however many
+/// inner rows one outer key matches. Borrowing is safe because writers
+/// hold the store's exclusive lock, which no query overlaps.
 class IndexNLJoinOp final : public Operator {
  public:
   IndexNLJoinOp(OperatorPtr outer, const Table* inner,
                 const std::string& inner_alias, const IndexInfo* index,
                 BoundExprPtr outer_key, bool left_outer,
-                BoundExprPtr residual,
+                BoundExprPtr residual, std::vector<int> inner_cols,
                 std::vector<InnerPredicate> inner_preds = {});
   Status Open() override;
   std::string name() const override {
@@ -460,8 +470,8 @@ class IndexNLJoinOp final : public Operator {
   }
   std::vector<Operator*> children() override { return {outer_.get()}; }
   Status VerifySelf() const override;
-  /// " probes=P fetched=F rejected=R", plus " inner=[...]" naming the
-  /// pushed predicates.
+  /// " probes=P fetched=F rejected=R cols=E/N", plus " inner=[...]"
+  /// naming the pushed predicates.
   std::string StatsSuffix() const override;
 
  protected:
@@ -476,7 +486,8 @@ class IndexNLJoinOp final : public Operator {
   const IndexInfo* index_;
   BoundExprPtr outer_key_;
   bool left_outer_;
-  BoundExprPtr residual_;  ///< bound against concatenated scope
+  BoundExprPtr residual_;  ///< bound against the emitted scope
+  std::vector<int> inner_cols_;  ///< inner slots emitted, in output order
   std::vector<InnerPredicate> inner_preds_;
   /// Per inner predicate: its `slot = literal` shape (slot -1 otherwise).
   std::vector<std::pair<int, const Value*>> inner_eq_;
@@ -485,9 +496,10 @@ class IndexNLJoinOp final : public Operator {
   RowBatch outer_batch_;                      ///< outer-side input buffer
   std::vector<Value> key_col_;                ///< batch-evaluated keys
   size_t outer_pos_ = 0;                      ///< resume cursor into batch
-  /// Posting list of the outer row at outer_pos_; null between outer rows.
-  const std::vector<RowId>* postings_ = nullptr;
-  size_t posting_pos_ = 0;  ///< resume cursor into *postings_
+  /// Posting list of the outer row at outer_pos_, while probing it.
+  std::span<const RowId> postings_;
+  bool probing_ = false;    ///< postings_ belongs to the row at outer_pos_
+  size_t posting_pos_ = 0;  ///< resume cursor into postings_
   bool matched_ = false;    ///< the current outer row emitted a row
 
   uint64_t probes_ = 0;    ///< index lookups (non-NULL keys)

@@ -19,23 +19,28 @@ void Scope::Append(const Scope& other) {
 
 Result<int> Scope::Resolve(std::string_view qualifier,
                            std::string_view name) const {
-  std::string q = ToLowerAscii(qualifier);
-  std::string n = ToLowerAscii(name);
+  // The stored names are lower-cased; compare without copying (planning
+  // resolves every column reference on every execution).
   int found = -1;
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    if (cols_[i].second != n) continue;
-    if (!q.empty() && cols_[i].first != q) continue;
-    if (found >= 0) {
-      return Status::InvalidArgument("ambiguous column reference " +
-                                     (q.empty() ? n : q + "." + n));
+  bool ambiguous = false;
+  for (size_t i = 0; i < cols_.size() && !ambiguous; ++i) {
+    if (!EqualsIgnoreCaseAscii(cols_[i].second, name)) continue;
+    if (!qualifier.empty() &&
+        !EqualsIgnoreCaseAscii(cols_[i].first, qualifier)) {
+      continue;
     }
+    ambiguous = found >= 0;
     found = static_cast<int>(i);
   }
-  if (found < 0) {
-    return Status::NotFound("column " + (q.empty() ? n : q + "." + n) +
-                            " not in scope {" + ToString() + "}");
+  if (found >= 0 && !ambiguous) return found;
+  const std::string q = ToLowerAscii(qualifier);
+  const std::string n = ToLowerAscii(name);
+  const std::string ref = q.empty() ? n : q + "." + n;
+  if (ambiguous) {
+    return Status::InvalidArgument("ambiguous column reference " + ref);
   }
-  return found;
+  return Status::NotFound("column " + ref + " not in scope {" + ToString() +
+                          "}");
 }
 
 std::vector<std::string> Scope::Names() const {

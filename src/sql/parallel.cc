@@ -237,7 +237,7 @@ void ExchangeOp::WorkerTask(size_t pipeline_index) {
     auto m = dispenser_->Claim();
     if (!m.has_value()) break;
     p.leaf->SetMorselRange(m->begin, m->end);
-    ArenaRows rows{util::ArenaAllocator<Row>(arena_.get())};
+    Blocks blocks;
     st = p.root->Open();
     while (st.ok()) {
       auto has = p.root->NextBatch(&batch);
@@ -246,13 +246,13 @@ void ExchangeOp::WorkerTask(size_t pipeline_index) {
         break;
       }
       if (!has.value()) break;
-      batch.FlushTo(&rows);
+      AppendToBlocks(&batch, &blocks);
     }
     if (!st.ok()) break;
     {
       util::MutexLock lock(&mu_);
       ++morsels_dispatched_;
-      ready_.emplace(m->index, std::move(rows));
+      ready_.emplace(m->index, std::move(blocks));
     }
     cv_.NotifyOne();
   }
@@ -276,6 +276,26 @@ void ExchangeOp::WorkerTask(size_t pipeline_index) {
   if (--workers_running_ == 0) workers_done_cv_.NotifyAll();
 }
 
+void ExchangeOp::AppendToBlocks(RowBatch* batch, Blocks* blocks) {
+  constexpr size_t kMaxBlockRows = RowBatch::kDefaultCapacity;
+  const size_t n = batch->ActiveSize();
+  size_t total = 0;
+  for (const ArenaRows& b : *blocks) total += b.size();
+  for (size_t i = 0; i < n;) {
+    if (blocks->empty() ||
+        blocks->back().size() == blocks->back().capacity()) {
+      blocks->emplace_back(util::ArenaAllocator<Row>(arena_.get()));
+      blocks->back().reserve(
+          std::min(kMaxBlockRows, std::max(n - i, total)));
+    }
+    ArenaRows& block = blocks->back();
+    const size_t take = std::min(n - i, block.capacity() - block.size());
+    batch->FlushTo(&block, i, i + take);
+    i += take;
+    total += take;
+  }
+}
+
 void ExchangeOp::AbortWorkers() {
   abort_.store(true, std::memory_order_release);
   if (dispenser_ != nullptr) dispenser_->Abort();
@@ -290,7 +310,8 @@ void ExchangeOp::JoinWorkers() {
 
 Status ExchangeOp::AwaitNextBuffer(bool* done) {
   util::MutexLock lock(&mu_);
-  current_.reset();
+  current_.clear();
+  serve_block_ = 0;
   serve_pos_ = 0;
   const uint64_t total = dispenser_->total_morsels();
   while (true) {
@@ -301,7 +322,7 @@ Status ExchangeOp::AwaitNextBuffer(bool* done) {
     }
     auto it = ready_.find(next_emit_);
     if (it != ready_.end()) {
-      current_.emplace(std::move(it->second));
+      current_ = std::move(it->second);
       ready_.erase(it);
       ++next_emit_;
       *done = false;
@@ -322,12 +343,16 @@ Status ExchangeOp::AwaitNextBuffer(bool* done) {
 
 Result<bool> ExchangeOp::NextBatchImpl(RowBatch* out) {
   while (true) {
-    if (current_.has_value() && serve_pos_ < current_->size()) {
-      const size_t n =
-          std::min(out->capacity(), current_->size() - serve_pos_);
-      out->Borrow(current_->data() + serve_pos_, n);
-      serve_pos_ += n;
-      return true;
+    while (serve_block_ < current_.size()) {
+      const ArenaRows& block = current_[serve_block_];
+      if (serve_pos_ < block.size()) {
+        const size_t n = std::min(out->capacity(), block.size() - serve_pos_);
+        out->Borrow(block.data() + serve_pos_, n);
+        serve_pos_ += n;
+        return true;
+      }
+      ++serve_block_;
+      serve_pos_ = 0;
     }
     bool done = false;
     RDFREL_RETURN_NOT_OK(AwaitNextBuffer(&done));
@@ -336,17 +361,20 @@ Result<bool> ExchangeOp::NextBatchImpl(RowBatch* out) {
 }
 
 Status ExchangeOp::DrainTo(Materialized* out) {
-  // Hands each morsel buffer over in morsel order: the rows stay where the
-  // worker wrote them, in arena_, which the Materialized now co-owns.
+  // Hands each morsel's blocks over in morsel order: the rows stay where
+  // the worker wrote them, in arena_, which the Materialized now co-owns.
   while (true) {
     if (control_ != nullptr) RDFREL_RETURN_NOT_OK(control_->Check());
     const uint64_t start = DrainClock();
     bool done = false;
     RDFREL_RETURN_NOT_OK(AwaitNextBuffer(&done));
     if (done) return Status::OK();
-    const size_t n = current_->size();
-    out->Append(std::move(*current_), arena_);
-    current_.reset();
+    size_t n = 0;
+    for (ArenaRows& block : current_) {
+      n += block.size();
+      out->Append(std::move(block), arena_);
+    }
+    current_.clear();
     CountDrained(n, start);
   }
 }
@@ -394,6 +422,9 @@ bool ContainsExchange(Operator* op) {
 
 void AppendSignature(Operator* op, std::string* out) {
   out->append(op->name());
+  // The width too: clones must prune index-join columns alike.
+  out->push_back('/');
+  out->append(std::to_string(op->scope().size()));
   out->push_back('(');
   for (Operator* c : op->children()) AppendSignature(c, out);
   out->push_back(')');

@@ -170,10 +170,16 @@ class SharedJoinBuild {
 
 /// Merge point between K parallel pipelines and the serial consumers above.
 /// Open() submits one task per pipeline to the global worker pool; tasks
-/// claim morsels, re-Open their pipeline per morsel, drain it into an
-/// arena-backed buffer, and publish the buffer to a reorder buffer keyed by
-/// morsel index. NextBatch serves buffers strictly in index order; DrainTo
-/// hands the buffers themselves to a Materialized.
+/// claim morsels, re-Open their pipeline per morsel, drain it into
+/// arena-backed blocks, and publish the blocks to a reorder buffer keyed by
+/// morsel index. NextBatch serves blocks strictly in morsel order; DrainTo
+/// hands the blocks themselves to a Materialized.
+///
+/// A block is reserved once, at its final capacity, and never regrows: the
+/// bump arena cannot reclaim a vector's old storage, so a doubling buffer
+/// would reserve several times the rows it holds. Blocks grow with the
+/// morsel's output (each as large as the rows before it, at least one
+/// batch, at most RowBatch::kDefaultCapacity rows).
 ///
 /// The destructor aborts the dispensers and joins every task, so tearing
 /// the tree down early (LIMIT, error, cancel) is always safe.
@@ -210,12 +216,16 @@ class RDFREL_QUERY_SCOPED ExchangeOp final : public Operator {
  private:
   using ArenaRows = Materialized::ArenaRows;
 
+  using Blocks = std::vector<ArenaRows>;
+
   void WorkerTask(size_t pipeline_index);
+  /// Appends \p batch's active rows to the morsel output \p blocks.
+  void AppendToBlocks(RowBatch* batch, Blocks* blocks);
   /// Signals every synchronization point workers might be parked on.
   void AbortWorkers() RDFREL_EXCLUDES(mu_);
   /// Blocks until all submitted worker tasks have returned.
   void JoinWorkers() RDFREL_EXCLUDES(mu_);
-  /// Waits for the buffer holding morsel next_emit_ (or failure/end).
+  /// Waits for the blocks of morsel next_emit_ (or failure/end).
   Status AwaitNextBuffer(bool* done) RDFREL_EXCLUDES(mu_);
 
   // Arena declared first so buffers referencing its storage die before it.
@@ -229,7 +239,7 @@ class RDFREL_QUERY_SCOPED ExchangeOp final : public Operator {
   mutable util::Mutex mu_{"exchange", util::lock_rank::kExchange};
   util::CondVar cv_;                      ///< consumer waits (buffer ready)
   util::CondVar workers_done_cv_;
-  std::map<uint64_t, ArenaRows> ready_
+  std::map<uint64_t, Blocks> ready_
       RDFREL_GUARDED_BY(mu_);             ///< reorder buffer
   Status worker_status_ RDFREL_GUARDED_BY(mu_);  ///< first worker error
   bool failed_ RDFREL_GUARDED_BY(mu_) = false;
@@ -240,8 +250,9 @@ class RDFREL_QUERY_SCOPED ExchangeOp final : public Operator {
   // Consumer-side state below is touched only by the single consumer
   // thread (NextBatch/DrainTo caller), so it is not guarded.
   uint64_t next_emit_ = 0;                ///< consumer-side morsel cursor
-  std::optional<ArenaRows> current_;      ///< buffer being served
-  size_t serve_pos_ = 0;
+  Blocks current_;                        ///< morsel output being served
+  size_t serve_block_ = 0;                ///< block of current_ served next
+  size_t serve_pos_ = 0;                  ///< row within that block
   uint64_t morsels_dispatched_ RDFREL_GUARDED_BY(mu_) = 0;
   bool stats_published_ = false;
 };

@@ -47,6 +47,47 @@ struct PendingSource {
   bool is_base_table() const { return table != nullptr; }
 };
 
+/// Appends every column-reference node under \p e to \p out.
+void CollectRefs(const Expr& e, std::vector<const Expr*>* out) {
+  if (e.kind == ExprKind::kColumnRef) out->push_back(&e);
+  for (const Expr* c : {e.lhs.get(), e.rhs.get(), e.child.get(),
+                        e.else_expr.get()}) {
+    if (c != nullptr) CollectRefs(*c, out);
+  }
+  for (const auto& b : e.branches) {
+    CollectRefs(*b.when, out);
+    CollectRefs(*b.then, out);
+  }
+  for (const auto& a : e.args) CollectRefs(*a, out);
+}
+
+/// The column references of one core, collected once before it is planned
+/// (DESIGN.md §7, "Column pruning"). They point into the AST, so no name
+/// is copied. A table probed through an index emits only the columns that
+/// some reference other than the probe's own key and pushed predicates can
+/// read.
+struct CoreRefs {
+  bool keep_all = false;          ///< SELECT *: nothing is pruned
+  std::vector<const Expr*> refs;  ///< every column reference of the core
+
+  CoreRefs(const SelectCore& core,
+           const std::vector<ast::OrderItem>* order_by) {
+    for (const auto& it : core.items) {
+      if (it.star) keep_all = true;
+      if (it.expr) CollectRefs(*it.expr, &refs);
+    }
+    for (const auto& item : core.from) {
+      if (item.on) CollectRefs(*item.on, &refs);
+      for (const auto& a : item.unnest_args) CollectRefs(*a, &refs);
+    }
+    if (core.where) CollectRefs(*core.where, &refs);
+    for (const auto& g : core.group_by) CollectRefs(*g, &refs);
+    if (order_by != nullptr) {
+      for (const auto& o : *order_by) CollectRefs(*o.expr, &refs);
+    }
+  }
+};
+
 class CorePlanner {
  public:
   /// Shared cache of materialized FROM subqueries, keyed by AST node. When
@@ -56,23 +97,16 @@ class CorePlanner {
   using SubqueryCache =
       std::map<const void*, std::shared_ptr<const Materialized>>;
 
+  /// \p refs: the references of the core this planner plans (borrowed).
   CorePlanner(const Catalog& catalog, CteEnv* env, const ExecControl* control,
-              const ExecOptions* exec, SubqueryCache* subq_cache = nullptr)
+              const ExecOptions* exec, SubqueryCache* subq_cache,
+              const CoreRefs* refs)
       : catalog_(catalog),
         env_(env),
         control_(control),
         exec_(exec),
-        subq_cache_(subq_cache) {}
-
-  /// Plans one core. When \p order_by is non-null the sort is planted inside
-  /// this core (below the final projection trim), so sort keys may reference
-  /// either output aliases or underlying FROM columns — matching standard
-  /// SQL ORDER BY scoping for a non-UNION query.
-  Result<OperatorPtr> PlanCore(const SelectCore& core,
-                               const std::vector<ast::OrderItem>* order_by) {
-    RDFREL_ASSIGN_OR_RETURN(OperatorPtr current, PlanJoinTree(core));
-    return FinishCore(core, std::move(current), order_by);
-  }
+        subq_cache_(subq_cache),
+        refs_(refs) {}
 
   /// Plans the FROM/WHERE join pipeline of a core — everything below the
   /// aggregate/projection tail. This is the segment the parallel executor
@@ -166,19 +200,6 @@ class CorePlanner {
       }
     }
     return current;
-  }
-
-  /// Completes a core above its join tree: aggregate path, or projection +
-  /// sort/trim/distinct.
-  Result<OperatorPtr> FinishCore(const SelectCore& core, OperatorPtr current,
-                                 const std::vector<ast::OrderItem>* order_by) {
-    if (core.HasAggregates()) {
-      return PlanAggregate(core, std::move(current), order_by);
-    }
-    ProjTail tail;
-    RDFREL_ASSIGN_OR_RETURN(
-        current, BuildProjection(core, std::move(current), order_by, &tail));
-    return FinishProjection(core, tail, std::move(current));
   }
 
   /// The pieces of the non-aggregate projection tail that sit *above* the
@@ -456,7 +477,8 @@ class CorePlanner {
         const IndexInfo* idx = src.table->FindIndexOn(col->column);
         if (!idx) continue;
         c.consumed = true;
-        return std::make_unique<IndexScanOp>(src.table, src.alias, idx, *lit);
+        return std::make_unique<IndexScanOp>(src.table, src.alias, idx, *lit,
+                                             EmittedColumns(src, {e}));
       }
     }
     return std::make_unique<SeqScanOp>(src.table, src.alias);
@@ -528,9 +550,6 @@ class CorePlanner {
       }
     }
 
-    Scope combined = left_scope;
-    combined.Append(src.scope);
-
     // Option 1: the new source is a base table with an index on one of the
     // equi columns -> index nested-loop probe into it.
     if (src.is_base_table() && !equis.empty()) {
@@ -543,27 +562,11 @@ class CorePlanner {
             FlushPending(current, pending, have_pending, conjuncts));
         RDFREL_ASSIGN_OR_RETURN(
             BoundExprPtr key, BindExpr(*equis[k].first, (*current)->scope()));
-        // Remaining equis become residual on the combined scope.
-        std::vector<InnerPredicate> inner;
-        BoundExprPtr extra;
-        RDFREL_RETURN_NOT_OK(
-            SplitResidual(residual, src.scope, combined, &inner, &extra));
-        for (size_t j = 0; j < equis.size(); ++j) {
-          if (j == k) continue;
-          RDFREL_ASSIGN_OR_RETURN(
-              BoundExprPtr b,
-              BindEquiAsResidual(equis[j], (*current)->scope(), src.scope));
-          AndInto(&extra, std::move(b));
-        }
-        // A LEFT OUTER join's WHERE filters the padded result, so it must
-        // stay above the join.
-        if (!left_outer) {
-          RDFREL_RETURN_NOT_OK(
-              TakeInnerConjuncts(src.scope, combined, conjuncts, &inner));
-        }
-        *current = std::make_unique<IndexNLJoinOp>(
-            std::move(*current), src.table, src.alias, idx, std::move(key),
-            left_outer, std::move(extra), std::move(inner));
+        RDFREL_ASSIGN_OR_RETURN(
+            *current, ProbeJoin(std::move(*current), src, idx, right_col,
+                                std::move(key), left_outer, residual,
+                                OtherEquis(equis, k), /*others_first=*/false,
+                                conjuncts));
         return Status::OK();
       }
     }
@@ -589,44 +592,19 @@ class CorePlanner {
         }
         RDFREL_ASSIGN_OR_RETURN(BoundExprPtr key,
                                 BindExpr(*equis[k].second, outer->scope()));
-        Scope flipped = outer->scope();
-        {
-          Scope t;
-          for (const auto& col : pending->table->schema().columns()) {
-            t.Add(pending->alias, col.name);
-          }
-          flipped.Append(t);
-        }
-        std::vector<InnerPredicate> inner;
-        BoundExprPtr extra;
-        for (size_t j = 0; j < equis.size(); ++j) {
-          if (j == k) continue;
-          RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b,
-                                  BindExpr(MakeEqAst(equis[j]), flipped));
-          AndInto(&extra, std::move(b));
-        }
-        RDFREL_RETURN_NOT_OK(
-            SplitResidual(residual, pending->scope, flipped, &inner, &extra));
-        // Pending-table conjuncts (the translator's T.predK = p) are tested
-        // on the probed rows in place.
-        RDFREL_RETURN_NOT_OK(
-            TakeInnerConjuncts(pending->scope, flipped, conjuncts, &inner));
-        *current = std::make_unique<IndexNLJoinOp>(
-            std::move(outer), pending->table, pending->alias, idx,
-            std::move(key), /*left_outer=*/false, std::move(extra),
-            std::move(inner));
+        RDFREL_ASSIGN_OR_RETURN(
+            *current, ProbeJoin(std::move(outer), *pending, idx, left_col,
+                                std::move(key), /*left_outer=*/false,
+                                residual, OtherEquis(equis, k),
+                                /*others_first=*/true, conjuncts));
         *have_pending = false;
         return Status::OK();
       }
     }
 
     // Option 3: hash join on the equi keys, the ON residual ANDed into one
-    // bound predicate.
-    BoundExprPtr residual_bound;
-    for (const Expr* e : residual) {
-      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, combined));
-      AndInto(&residual_bound, std::move(b));
-    }
+    // predicate bound on the joined row (either side may be a pruned
+    // IndexScan).
     RDFREL_RETURN_NOT_OK(
         FlushPending(current, pending, have_pending, conjuncts));
     OperatorPtr right = MakeSourceOp(src, conjuncts);
@@ -638,6 +616,13 @@ class CorePlanner {
                               BindExpr(*c.expr, right->scope()));
       right = std::make_unique<FilterOp>(std::move(right), std::move(b));
       c.consumed = true;
+    }
+    Scope joined = (*current)->scope();
+    joined.Append(right->scope());
+    BoundExprPtr residual_bound;
+    for (const Expr* e : residual) {
+      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, joined));
+      AndInto(&residual_bound, std::move(b));
     }
     if (!equis.empty()) {
       std::vector<BoundExprPtr> lkeys, rkeys;
@@ -659,6 +644,59 @@ class CorePlanner {
     return Status::OK();
   }
 
+  /// The index nested-loop join probing base table \p probed through \p idx
+  /// on \p key_col, keyed by \p key per row of \p outer. ON conjuncts over
+  /// \p probed alone — and, unless \p left_outer (whose WHERE filters the
+  /// padded rows), such WHERE conjuncts — are tested on the stored row. The
+  /// rest of \p residual and the other equi pairs \p others run on the
+  /// joined row, \p others first when \p others_first. \p probed emits only
+  /// the columns read above the join.
+  Result<OperatorPtr> ProbeJoin(OperatorPtr outer, const PendingSource& probed,
+                                const IndexInfo* idx, const Expr* key_col,
+                                BoundExprPtr key, bool left_outer,
+                                const std::vector<const Expr*>& residual,
+                                const std::vector<const Expr*>& others,
+                                bool others_first,
+                                std::vector<Conjunct>* conjuncts) {
+    Scope combined = outer->scope();
+    combined.Append(probed.scope);
+    std::vector<const Expr*> in_place;
+    std::vector<const Expr*> rest;
+    SplitResidual(residual, probed.scope, combined, &in_place, &rest);
+    if (!left_outer) {
+      TakeInnerConjuncts(probed.scope, combined, conjuncts, &in_place);
+    }
+    std::vector<InnerPredicate> inner;
+    RDFREL_RETURN_NOT_OK(BindInner(in_place, probed.scope, &inner));
+    in_place.push_back(key_col);
+    std::vector<int> cols = EmittedColumns(probed, in_place);
+    Scope out = outer->scope();
+    out.Append(EmittedScope(probed, cols));
+    const std::vector<const Expr*>* above[] = {&rest, &others};
+    if (others_first) std::swap(above[0], above[1]);
+    BoundExprPtr extra;
+    for (const auto* list : above) {
+      for (const Expr* e : *list) {
+        RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, out));
+        AndInto(&extra, std::move(b));
+      }
+    }
+    return OperatorPtr(std::make_unique<IndexNLJoinOp>(
+        std::move(outer), probed.table, probed.alias, idx, std::move(key),
+        left_outer, std::move(extra), std::move(cols), std::move(inner)));
+  }
+
+  /// Equality ASTs for every equi pair but the \p k-th (the probe key).
+  std::vector<const Expr*> OtherEquis(
+      const std::vector<std::pair<const Expr*, const Expr*>>& equis,
+      size_t k) {
+    std::vector<const Expr*> out;
+    for (size_t j = 0; j < equis.size(); ++j) {
+      if (j != k) out.push_back(&MakeEqAst(equis[j]));
+    }
+    return out;
+  }
+
   /// A join conjunct reading only the probed table: covered by \p inner,
   /// and by the join's \p combined scope, so pushing it cannot change how
   /// a name resolves.
@@ -673,51 +711,82 @@ class CorePlanner {
   }
 
   /// Splits an index join's ON residual: conjuncts over the probed table
-  /// alone become inner predicates (sound for LEFT joins too — ON decides
-  /// what matches), the rest are ANDed into \p extra bound on \p combined.
-  static Status SplitResidual(const std::vector<const Expr*>& residual,
-                              const Scope& inner, const Scope& combined,
-                              std::vector<InnerPredicate>* preds,
-                              BoundExprPtr* extra) {
+  /// alone go to \p in_place (sound for LEFT joins too — ON decides what
+  /// matches), the rest to \p rest.
+  static void SplitResidual(const std::vector<const Expr*>& residual,
+                            const Scope& inner, const Scope& combined,
+                            std::vector<const Expr*>* in_place,
+                            std::vector<const Expr*>* rest) {
     for (const Expr* e : residual) {
-      if (InnerOnly(*e, inner, combined)) {
-        RDFREL_RETURN_NOT_OK(AddInnerPredicate(*e, inner, preds));
-        continue;
-      }
-      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, combined));
-      AndInto(extra, std::move(b));
+      (InnerOnly(*e, inner, combined) ? in_place : rest)->push_back(e);
     }
-    return Status::OK();
   }
 
-  /// Binds \p e against the probed table's columns for an IndexNLJoinOp.
-  static Status AddInnerPredicate(const Expr& e, const Scope& inner,
-                                  std::vector<InnerPredicate>* out) {
-    RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(e, inner));
-    out->push_back({std::move(b), e.ToString()});
+  /// Binds \p exprs against the probed table's columns as the inner
+  /// predicates of an IndexNLJoinOp.
+  static Status BindInner(const std::vector<const Expr*>& exprs,
+                          const Scope& inner,
+                          std::vector<InnerPredicate>* out) {
+    for (const Expr* e : exprs) {
+      RDFREL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, inner));
+      out->push_back({std::move(b), e->ToString()});
+    }
     return Status::OK();
   }
 
   /// Hands the index join every unconsumed WHERE conjunct over the probed
   /// table alone, consuming it.
-  static Status TakeInnerConjuncts(const Scope& inner, const Scope& combined,
-                                   std::vector<Conjunct>* conjuncts,
-                                   std::vector<InnerPredicate>* out) {
+  static void TakeInnerConjuncts(const Scope& inner, const Scope& combined,
+                                 std::vector<Conjunct>* conjuncts,
+                                 std::vector<const Expr*>* out) {
     for (auto& c : *conjuncts) {
       if (c.consumed || !InnerOnly(*c.expr, inner, combined)) continue;
-      RDFREL_RETURN_NOT_OK(AddInnerPredicate(*c.expr, inner, out));
+      out->push_back(c.expr);
       c.consumed = true;
     }
-    return Status::OK();
   }
 
-  /// Rebinds an equi pair as a residual equality over the combined scope.
-  Result<BoundExprPtr> BindEquiAsResidual(
-      const std::pair<const Expr*, const Expr*>& equi, const Scope& left,
-      const Scope& right) {
-    Scope combined = left;
-    combined.Append(right);
-    return BindExpr(MakeEqAst(equi), combined);
+  /// The stored columns of base table \p src that an operator reading it
+  /// by index must emit: those some column reference of the core may name,
+  /// other than the references inside \p in_place — the probe key and the
+  /// predicates the operator tests on the stored row. A reference matches
+  /// a column by name, and by qualifier when it has one, so an unqualified
+  /// name keeps every column it could resolve to and binding above the
+  /// operator resolves exactly as over the full table.
+  std::vector<int> EmittedColumns(
+      const PendingSource& src,
+      const std::vector<const Expr*>& in_place) const {
+    const auto& columns = src.table->schema().columns();
+    std::vector<int> out;
+    if (refs_->keep_all) {
+      for (size_t c = 0; c < columns.size(); ++c) {
+        out.push_back(static_cast<int>(c));
+      }
+      return out;
+    }
+    std::vector<const Expr*> skip;
+    for (const Expr* e : in_place) CollectRefs(*e, &skip);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      for (const Expr* r : refs_->refs) {
+        if (!EqualsIgnoreCaseAscii(r->column, columns[c].name) ||
+            (!r->qualifier.empty() &&
+             !EqualsIgnoreCaseAscii(r->qualifier, src.alias)) ||
+            std::find(skip.begin(), skip.end(), r) != skip.end()) {
+          continue;
+        }
+        out.push_back(static_cast<int>(c));
+        break;
+      }
+    }
+    return out;
+  }
+
+  /// The scope of \p src's columns \p cols, as the operator emits them.
+  static Scope EmittedScope(const PendingSource& src,
+                            const std::vector<int>& cols) {
+    Scope s;
+    for (int c : cols) s.Add(src.alias, src.scope.column(c).second);
+    return s;
   }
 
   /// Builds (and owns) an equality AST node over two borrowed expressions.
@@ -761,6 +830,7 @@ class CorePlanner {
   const ExecControl* control_;  ///< cancellation for subquery materialization
   const ExecOptions* exec_;     ///< parallelism for subquery bodies (may be null)
   SubqueryCache* subq_cache_;   ///< shared across pipeline clones (may be null)
+  const CoreRefs* refs_;        ///< the core's references (read while planning)
   std::vector<ast::ExprPtr> owned_;
 };
 
@@ -813,9 +883,11 @@ Result<OperatorPtr> PlanCoreWithOptions(
   auto keep = std::make_shared<CoreKeepalive>();
   keep->subq_cache = std::make_shared<CorePlanner::SubqueryCache>();
   *keepalive = keep;
+  // Collected once; every pipeline clone prunes by the same references.
+  const CoreRefs refs(core, order_by);
 
-  auto planner0 = std::make_shared<CorePlanner>(catalog, env, control, exec,
-                                                keep->subq_cache.get());
+  auto planner0 = std::make_shared<CorePlanner>(
+      catalog, env, control, exec, keep->subq_cache.get(), &refs);
   keep->planners.push_back(planner0);
   RDFREL_ASSIGN_OR_RETURN(OperatorPtr root0, planner0->PlanJoinTree(core));
   const bool has_agg = core.HasAggregates();
@@ -876,7 +948,7 @@ Result<OperatorPtr> PlanCoreWithOptions(
   pipelines.push_back({std::move(root0), a0.driving});
   for (uint64_t i = 1; i < k; ++i) {
     auto p = std::make_shared<CorePlanner>(catalog, env, control, exec,
-                                           keep->subq_cache.get());
+                                           keep->subq_cache.get(), &refs);
     keep->planners.push_back(p);
     RDFREL_ASSIGN_OR_RETURN(OperatorPtr r, p->PlanJoinTree(core));
     if (!has_agg) {

@@ -118,11 +118,17 @@ class RowBatch {
 
   template <typename Alloc>
   void FlushTo(std::vector<Row, Alloc>* out) {
+    FlushTo(out, 0, ActiveSize());
+  }
+
+  /// FlushTo for the active rows [begin, end) only.
+  template <typename Alloc>
+  void FlushTo(std::vector<Row, Alloc>* out, size_t begin, size_t end) {
     if (OwnedDense()) {
-      for (size_t i = 0; i < count_; ++i) out->push_back(std::move(rows_[i]));
+      for (size_t i = begin; i < end; ++i) out->push_back(std::move(rows_[i]));
       return;
     }
-    for (size_t i = 0; i < ActiveSize(); ++i) out->push_back(Active(i));
+    for (size_t i = begin; i < end; ++i) out->push_back(Active(i));
   }
 
  private:

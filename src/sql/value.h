@@ -75,7 +75,7 @@ class Value {
   /// "known both non-null" fast path.
   bool EqualsNonNull(const Value& other) const;
 
-  /// Total ordering used by ORDER BY / B+-tree keys: NULLs first, then by
+  /// Total ordering used by ORDER BY and MIN/MAX: NULLs first, then by
   /// type (numeric < string), then by value.
   int Compare(const Value& other) const;
 

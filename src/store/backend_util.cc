@@ -289,7 +289,7 @@ Status BuildLexTable(sql::Database* db, const rdf::Dictionary& dict,
       continue;
     }
   }
-  return lex->CreateIndex(table + "_id", "id", sql::IndexKind::kHash);
+  return lex->CreateIndex(table + "_id", "id");
 }
 
 }  // namespace rdfrel::store

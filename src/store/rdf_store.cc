@@ -116,8 +116,7 @@ Result<std::unique_ptr<RdfStore>> RdfStore::Load(
               .status());
     }
     RDFREL_RETURN_NOT_OK(
-        lex->CreateIndex(store->lex_table_ + "_id", "id",
-                         sql::IndexKind::kHash));
+        lex->CreateIndex(store->lex_table_ + "_id", "id"));
   }
 
   store->dict_ = std::move(graph.dictionary());
@@ -199,9 +198,9 @@ Result<std::string> RdfStore::EnsureClosureTable(const rdf::Term& pred,
     }
   }
   RDFREL_RETURN_NOT_OK(
-      t->CreateIndex(table + "_entry", "entry", sql::IndexKind::kBTree));
+      t->CreateIndex(table + "_entry", "entry"));
   RDFREL_RETURN_NOT_OK(
-      t->CreateIndex(table + "_val", "val", sql::IndexKind::kBTree));
+      t->CreateIndex(table + "_val", "val"));
   closure_cache_.emplace(key, table);
   return table;
 }

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -217,16 +220,92 @@ TEST(PersistTestWal, LsnGapStopsReplay) {
   EXPECT_TRUE(replay.status().IsDataLoss()) << replay.status().ToString();
 }
 
+/// An Env over \p base whose second Sync — the first after the WAL
+/// header's — waits until \p ready() holds. A test uses it to make sure
+/// appenders queue behind an fsync in flight, whatever the scheduler does.
+class GatedSyncEnv final : public Env {
+ public:
+  GatedSyncEnv(Env* base, std::function<bool()> ready)
+      : base_(base), ready_(std::move(ready)) {}
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool truncate) override {
+    RDFREL_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> f,
+                            base_->NewWritableFile(path, truncate));
+    return std::unique_ptr<WritableFile>(new File(std::move(f), this));
+  }
+  Result<std::string> ReadFile(const std::string& path) override {
+    return base_->ReadFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+  Status CreateDirIfMissing(const std::string& dir) override {
+    return base_->CreateDirIfMissing(dir);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status TruncateFile(const std::string& path, uint64_t size) override {
+    return base_->TruncateFile(path, size);
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(std::unique_ptr<WritableFile> base, GatedSyncEnv* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Append(std::string_view data) override {
+      return base_->Append(data);
+    }
+    Status Sync() override {
+      if (env_->syncs_.fetch_add(1) == 1) {
+        while (!env_->ready_()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> base_;
+    GatedSyncEnv* env_;
+  };
+
+  Env* base_;
+  std::function<bool()> ready_;
+  std::atomic<int> syncs_{0};
+};
+
 TEST(PersistTestWal, GroupCommitDurabilityAndStats) {
+  constexpr int kThreads = 4, kPerThread = 25;
+  // The first data fsync waits until every thread has a record queued, so
+  // at least one group of kThreads - 1 records is guaranteed: no run can
+  // fall back to one fsync per record, however the threads are scheduled.
   MemEnv mem;
-  FaultInjectionEnv env(&mem);  // counters only, no fault
+  std::atomic<WalWriter*> writer{nullptr};
+  GatedSyncEnv gated(&mem, [&writer] {
+    WalWriter* w = writer.load();
+    return w != nullptr && w->appended_records() >= kThreads;
+  });
+  FaultInjectionEnv env(&gated);  // counters only, no fault
   WalOptions opts;
   opts.sync = WalSync::kGroupCommit;
   opts.group_commit_interval_ms = 1;
   auto w = WalWriter::Create(&env, "wal-1.log", 1, opts).value();
   uint64_t header_syncs = env.sync_count();
+  writer.store(w.get());
 
-  constexpr int kThreads = 4, kPerThread = 25;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&w, t] {

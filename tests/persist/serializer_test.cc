@@ -10,6 +10,7 @@
 #include "persist/serializer.h"
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "sql/catalog.h"
 
 namespace rdfrel::persist {
 namespace {
@@ -127,6 +128,43 @@ TEST(PersistTestSerializer, StatisticsRoundTrip) {
   EXPECT_EQ(out->predicate_count_map(), stats.predicate_count_map());
   EXPECT_EQ(out->top_subject_counts(), stats.top_subject_counts());
   EXPECT_EQ(out->top_object_counts(), stats.top_object_counts());
+}
+
+TEST(PersistTestSerializer, TableIndexesOpenWhateverKindByte) {
+  // Snapshots written before every index became one flat equality index
+  // carry a kind byte of 0 (B+-tree) or 1 (hash); any value rebuilds the
+  // same index, with the same postings.
+  sql::Catalog catalog;
+  auto table = catalog.CreateTable(
+      "t", sql::Schema({{"id", sql::ValueType::kInt64},
+                        {"name", sql::ValueType::kString}}));
+  ASSERT_TRUE(table.ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE((*table)
+                    ->Insert({sql::Value::Int(i % 3),
+                              sql::Value::Str("n" + std::to_string(i))})
+                    .ok());
+  }
+  ASSERT_TRUE((*table)->CreateIndex("t_id", "id").ok());
+  std::string bytes;
+  EncodeTable(&bytes, **table);
+  // The kind byte follows the index's column name ("id", length-prefixed).
+  const size_t kind_at = bytes.find("t_id") + 4 + 4 + 2;
+  ASSERT_LT(kind_at, bytes.size());
+  for (uint8_t kind : {0, 1, 7}) {
+    std::string patched = bytes;
+    patched[kind_at] = static_cast<char>(kind);
+    ByteReader r(patched);
+    sql::Catalog reopened;
+    ASSERT_TRUE(DecodeTableInto(&r, &reopened).ok()) << int{kind};
+    auto t = reopened.GetTable("t");
+    ASSERT_TRUE(t.ok());
+    const sql::IndexInfo* idx = (*t)->FindIndexOn("id");
+    ASSERT_NE(idx, nullptr);
+    EXPECT_EQ(idx->Lookup(sql::Value::Int(1)).size(), 3u) << int{kind};
+    EXPECT_EQ(idx->Lookup(sql::Value::Int(2)).size(), 3u) << int{kind};
+    EXPECT_EQ(idx->Lookup(sql::Value::Int(0)).size(), 4u) << int{kind};
+  }
 }
 
 }  // namespace

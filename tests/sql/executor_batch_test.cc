@@ -420,7 +420,8 @@ TEST_P(JoinBoundaryTest, IndexNLJoinFanOutStaysWithinCapacity) {
     }
     IndexNLJoinOp join(std::make_unique<MaterializedScanOp>(outer, "l"),
                        *table, "r", (*table)->FindIndexOn("a"),
-                       MakeSlotRef(0), left_outer, /*residual=*/nullptr);
+                       MakeSlotRef(0), left_outer, /*residual=*/nullptr,
+                       std::vector<int>{0, 1});
     ASSERT_TRUE(join.Open().ok());
     RowBatch batch;
     std::vector<Row> rows;
@@ -612,6 +613,213 @@ TEST_F(IndexJoinPushdownTest, NonEqualityConjunctTakesGenericPath) {
            false));
   EXPECT_TRUE(HasInnerPredicates(p)) << p;
   EXPECT_NE(p.find("<"), std::string::npos) << p;
+}
+
+// ------------------------------------------- index-join column pruning
+
+/// A table read through an index emits only the columns read above it
+/// (DESIGN.md §7, "Column pruning"). Each query is compared byte for byte,
+/// serially and on four threads with two-row morsels, with an unpruned
+/// reference: the same join under `SELECT *` in a FROM-subquery, a core
+/// that is never pruned. The outer input is a CTE, so the parallel runs
+/// split it into morsels.
+class IndexJoinPushdownPruneTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE o (k INTEGER, v INTEGER)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE TABLE w (k INTEGER, x INTEGER, "
+                            "y INTEGER, z VARCHAR)")
+                    .ok());
+    ASSERT_TRUE(db_.Execute("CREATE TABLE u (x INTEGER, y INTEGER)").ok());
+    std::vector<std::string> tuples;
+    for (int i = 0; i < 300; ++i) {
+      tuples.push_back("(" + std::to_string(i % 37) + ", " +
+                       std::to_string(i) + ")");
+    }
+    InsertRows(db_, "o", tuples);
+    tuples.clear();
+    for (int j = 0; j < 200; ++j) {
+      // Keys 0..40 (some o keys never match); y is NULL on every 6th row.
+      tuples.push_back("(" + std::to_string(j % 41) + ", " +
+                       std::to_string(j % 5) + ", " +
+                       (j % 6 == 5 ? "NULL" : std::to_string(j % 7)) +
+                       ", 'z" + std::to_string(j % 11) + "')");
+    }
+    InsertRows(db_, "w", tuples);
+    tuples.clear();
+    for (int x = 0; x < 5; ++x) {
+      tuples.push_back("(" + std::to_string(x) + ", " +
+                       std::to_string(10 * x) + ")");
+    }
+    InsertRows(db_, "u", tuples);
+    ASSERT_TRUE(db_.Execute("CREATE INDEX idx_w_k ON w (k)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE INDEX idx_u_x ON u (x)").ok());
+  }
+
+  static constexpr const char* kOuterCte =
+      "WITH d AS (SELECT k AS dk, v FROM o) ";
+
+  /// Rows of \p q, serially or on four threads with two-row morsels.
+  std::vector<Row> Run(const std::string& q, bool parallel) {
+    ExecOptions exec;
+    exec.max_threads = parallel ? 4 : 1;
+    exec.morsel_rows = 2;
+    exec.parallel_min_rows = 0;
+    std::vector<Row> rows;
+    Status st = db_.QueryStreaming(
+        q, exec, nullptr, [&rows](const RowBatch& batch) {
+          for (size_t i = 0; i < batch.ActiveSize(); ++i) {
+            rows.push_back(batch.Active(i));
+          }
+          return Status::OK();
+        });
+    EXPECT_TRUE(st.ok()) << q << "\n" << st.ToString();
+    return rows;
+  }
+
+  /// Checks \p q against \p reference in both modes; returns q's serial
+  /// profile. A join driven by the CTE must run under an Exchange on four
+  /// threads.
+  std::string Check(const std::string& q, const std::string& reference,
+                    bool driven_by_cte = true) {
+    const std::vector<std::string> want =
+        OrderedSig(Run(kOuterCte + reference, false));
+    EXPECT_FALSE(want.empty()) << reference;
+    for (bool parallel : {false, true}) {
+      EXPECT_EQ(OrderedSig(Run(kOuterCte + q, parallel)), want)
+          << q << (parallel ? " (parallel)" : " (serial)");
+      EXPECT_EQ(OrderedSig(Run(kOuterCte + reference, parallel)), want)
+          << reference << (parallel ? " (parallel)" : " (serial)");
+    }
+    ExecOptions exec;
+    exec.max_threads = 4;
+    exec.morsel_rows = 2;
+    exec.parallel_min_rows = 0;
+    std::string profile;
+    auto res = db_.QueryProfiled(kOuterCte + q, &profile, &exec);
+    EXPECT_TRUE(res.ok()) << q << "\n" << res.status().ToString();
+    EXPECT_EQ(profile.find("Exchange:") != std::string::npos, driven_by_cte)
+        << profile;
+    res = db_.QueryProfiled(kOuterCte + q, &profile);
+    EXPECT_TRUE(res.ok()) << q << "\n" << res.status().ToString();
+    return profile;
+  }
+
+  /// The " cols=E/N" figure of the first profile line of \p op.
+  static std::string Cols(const std::string& profile, const std::string& op) {
+    const size_t at = profile.find(op + ":");
+    if (at == std::string::npos) return "no " + op;
+    const std::string line = profile.substr(at, profile.find('\n', at) - at);
+    const size_t cols = line.find(" cols=");
+    if (cols == std::string::npos) return "no cols in " + line;
+    const size_t end = line.find(' ', cols + 1);
+    return line.substr(cols + 6, end == std::string::npos
+                                     ? std::string::npos
+                                     : end - cols - 6);
+  }
+
+  Database db_;
+};
+
+TEST_F(IndexJoinPushdownPruneTest, SelectStarIsNotPruned) {
+  const std::string p =
+      Check("SELECT * FROM d, w WHERE d.dk = w.k AND w.x = 3",
+            "SELECT d.dk, d.v, w.k, w.x, w.y, w.z FROM d, w "
+            "WHERE d.dk = w.k AND w.x = 3");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "4/4") << p;
+}
+
+TEST_F(IndexJoinPushdownPruneTest, LeftJoinPadsOnlyEmittedColumns) {
+  const std::string p = Check(
+      "SELECT d.v, w.y FROM d LEFT JOIN w ON d.dk = w.k AND w.x > 2",
+      "SELECT sub.v, sub.y FROM "
+      "(SELECT * FROM d LEFT JOIN w ON d.dk = w.k AND w.x > 2) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "1/4") << p;
+  // Unmatched outer rows are padded, one NULL wide.
+  bool padded = false;
+  for (const Row& row : Run(std::string(kOuterCte) +
+                                "SELECT d.v, w.y FROM d LEFT JOIN w "
+                                "ON d.dk = w.k AND w.x > 2",
+                            false)) {
+    EXPECT_EQ(row.size(), 2u);
+    padded |= row[1].is_null();
+  }
+  EXPECT_TRUE(padded);
+}
+
+TEST_F(IndexJoinPushdownPruneTest, OrderByAndGroupByReadPrunedScope) {
+  std::string p = Check(
+      "SELECT d.v FROM d, w WHERE d.dk = w.k ORDER BY w.z, d.v",
+      "SELECT sub.v FROM (SELECT * FROM d, w WHERE d.dk = w.k) AS sub "
+      "ORDER BY sub.z, sub.v");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "1/4") << p;
+  p = Check(
+      "SELECT w.y AS y, COUNT(*) AS n FROM d, w WHERE d.dk = w.k "
+      "GROUP BY w.y ORDER BY y",
+      "SELECT sub.y AS y, COUNT(*) AS n FROM "
+      "(SELECT * FROM d, w WHERE d.dk = w.k) AS sub GROUP BY sub.y "
+      "ORDER BY y");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "1/4") << p;
+}
+
+TEST_F(IndexJoinPushdownPruneTest, ResidualBindsToPrunedScope) {
+  // `d.v + w.x > 10` runs on the joined row, so x is emitted; the second
+  // equi `d.v = w.y` becomes a residual that needs y.
+  std::string p = Check(
+      "SELECT d.v FROM d JOIN w ON d.dk = w.k AND d.v + w.x > 10",
+      "SELECT sub.v FROM "
+      "(SELECT * FROM d JOIN w ON d.dk = w.k AND d.v + w.x > 10) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "1/4") << p;
+  p = Check("SELECT d.v, w.z FROM d, w WHERE d.dk = w.k AND d.v = w.y",
+            "SELECT sub.v, sub.z FROM (SELECT * FROM d, w "
+            "WHERE d.dk = w.k AND d.v = w.y) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "2/4") << p;
+}
+
+TEST_F(IndexJoinPushdownPruneTest, UnqualifiedReferencesKeepEveryCandidate) {
+  const std::string p = Check(
+      "SELECT v, z FROM d, w WHERE d.dk = w.k",
+      "SELECT sub.v, sub.z FROM (SELECT * FROM d, w WHERE d.dk = w.k) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "1/4") << p;
+  // `y` names a column of both w and u: pruning must keep both, so the
+  // reference stays ambiguous rather than resolving to the survivor.
+  auto res = db_.Query(std::string(kOuterCte) +
+                       "SELECT y FROM d, w, u WHERE d.dk = w.k AND w.x = u.x");
+  ASSERT_FALSE(res.ok());
+  EXPECT_NE(res.status().ToString().find("ambiguous"), std::string::npos)
+      << res.status().ToString();
+}
+
+TEST_F(IndexJoinPushdownPruneTest, UnnestArgumentsAreEmitted) {
+  const std::string p = Check(
+      "SELECT d.v, t.val FROM d, w, UNNEST(w.x, w.y) AS t(val) "
+      "WHERE d.dk = w.k",
+      "SELECT sub.v, t.val FROM (SELECT * FROM d, w WHERE d.dk = w.k) AS sub, "
+      "UNNEST(sub.x, sub.y) AS t(val)");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "2/4") << p;
+}
+
+TEST_F(IndexJoinPushdownPruneTest, KeyAndInnerPredicateColumnsReadAbove) {
+  // Tested in place only: neither the key nor x is emitted.
+  std::string p = Check(
+      "SELECT d.v FROM d, w WHERE d.dk = w.k AND w.x = 3",
+      "SELECT sub.v FROM (SELECT * FROM d, w WHERE d.dk = w.k AND w.x = 3) "
+      "AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "0/4") << p;
+  // Read again above: both are emitted, in both join orientations.
+  p = Check("SELECT w.k, w.x, d.v FROM d, w WHERE d.dk = w.k AND w.x = 3",
+            "SELECT sub.k, sub.x, sub.v FROM (SELECT * FROM d, w "
+            "WHERE d.dk = w.k AND w.x = 3) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "2/4") << p;
+  p = Check("SELECT w.k, w.x, d.v FROM w, d WHERE w.k = d.dk AND w.x = 3",
+            "SELECT sub.k, sub.x, sub.v FROM (SELECT * FROM w, d "
+            "WHERE w.k = d.dk AND w.x = 3) AS sub");
+  EXPECT_EQ(Cols(p, "IndexNLJoin(w)"), "2/4") << p;
+  // An index scan prunes the same way.
+  p = Check("SELECT w.y FROM w WHERE w.k = 5",
+            "SELECT sub.y FROM (SELECT * FROM w WHERE w.k = 5) AS sub",
+            /*driven_by_cte=*/false);
+  EXPECT_EQ(Cols(p, "IndexScan(w)"), "1/4") << p;
 }
 
 // ------------------------------------------------ SQL-level workload

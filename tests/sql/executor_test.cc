@@ -130,7 +130,7 @@ TEST(ExecutorTest, HashJoinResidualFiltersWithinMatches) {
 TEST(ExecutorTest, IndexNLJoinProbesAndPads) {
   Table table("inner", Schema({{"id", ValueType::kInt64},
                                {"v", ValueType::kString}}));
-  ASSERT_TRUE(table.CreateIndex("idx", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(table.CreateIndex("idx", "id").ok());
   ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("one")}).ok());
   ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("uno")}).ok());
   ASSERT_TRUE(table.Insert({Value::Int(2), Value::Str("two")}).ok());
@@ -138,7 +138,8 @@ TEST(ExecutorTest, IndexNLJoinProbesAndPads) {
   auto outer = Fixed({{Value::Int(1)}, {Value::Int(3)}, {Value::Null()}},
                      {"k"}, "o");
   IndexNLJoinOp join(std::move(outer), &table, "i", table.FindIndexOn("id"),
-                     Slot(0), /*left_outer=*/true, nullptr);
+                     Slot(0), /*left_outer=*/true, nullptr,
+                     std::vector<int>{0, 1});
   auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   // k=1 matches twice; k=3 and k=NULL pad.
@@ -148,6 +149,26 @@ TEST(ExecutorTest, IndexNLJoinProbesAndPads) {
     if (r[1].is_null()) ++padded;
   }
   EXPECT_EQ(padded, 2);
+}
+
+TEST(ExecutorTest, IndexNLJoinEmitsAndPadsOnlyChosenColumns) {
+  Table table("inner", Schema({{"id", ValueType::kInt64},
+                               {"v", ValueType::kString}}));
+  ASSERT_TRUE(table.CreateIndex("idx", "id").ok());
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::Str("one")}).ok());
+  auto outer = Fixed({{Value::Int(1)}, {Value::Int(3)}}, {"k"}, "o");
+  // Only `v` is emitted, so matched and padded rows are both two wide.
+  IndexNLJoinOp join(std::move(outer), &table, "i", table.FindIndexOn("id"),
+                     Slot(0), /*left_outer=*/true, nullptr,
+                     std::vector<int>{1});
+  ASSERT_EQ(join.scope().size(), 2u);
+  auto rows = CollectRows(&join);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0], (Row{Value::Int(1), Value::Str("one")}));
+  EXPECT_EQ((*rows)[1], (Row{Value::Int(3), Value::Null()}));
+  EXPECT_NE(join.StatsSuffix().find(" cols=1/2"), std::string::npos)
+      << join.StatsSuffix();
 }
 
 TEST(ExecutorTest, UnionAllEmptyChildren) {

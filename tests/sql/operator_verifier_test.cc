@@ -169,14 +169,14 @@ TEST(OperatorVerifierTest, RejectsIndexJoinInnerPredicateOutsideInnerArity) {
   // the joined row (arity 3), so slot 2 is already out of bounds.
   Table inner("inner", Schema({{"id", ValueType::kInt64},
                                {"v", ValueType::kInt64}}));
-  ASSERT_TRUE(inner.CreateIndex("idx", "id", IndexKind::kBTree).ok());
+  ASSERT_TRUE(inner.CreateIndex("idx", "id").ok());
   std::vector<InnerPredicate> preds;
   preds.push_back({MakeSlotRef(1), "ok"});
   preds.push_back({MakeSlotRef(2), "bad"});
   auto join = std::make_unique<IndexNLJoinOp>(
       Fixed({{Value::Int(1)}}, {"k"}), &inner, "i", inner.FindIndexOn("id"),
       MakeSlotRef(0), /*left_outer=*/false, /*residual=*/nullptr,
-      std::move(preds));
+      std::vector<int>{0, 1}, std::move(preds));
   Status st = VerifyOperatorTree(*join);
   ExpectPlanError(st, "inner predicate 1 reads slot 2 outside input arity 2");
   ExpectPlanError(st, "IndexNLJoin(inner)");

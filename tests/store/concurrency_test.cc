@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rdf/dictionary.h"
 #include "store/predicate_store_backend.h"
 #include "store/rdf_store.h"
 #include "store/triple_store_backend.h"
@@ -266,6 +267,49 @@ TEST(ConcurrencyTest, ReadersAndWriterStress) {
                            "SELECT ?x ?y WHERE { ?x :next ?y }");
   ASSERT_TRUE(sane.ok()) << sane.status().ToString();
   EXPECT_GT(sane->size(), 0u);
+}
+
+TEST(ConcurrencyTest, ConcurrentDecodesShareTerms) {
+  // Decoded terms share the dictionary's representation: four threads
+  // decode, copy, compare and drop the same ids at once (reference-count
+  // traffic on one representation, checked under -fsanitize=thread).
+  rdf::Dictionary dict;
+  std::vector<Term> terms;
+  for (int i = 0; i < 64; ++i) {
+    const std::string n = std::to_string(i);
+    terms.push_back(i % 3 == 0   ? Term::Iri("http://example.org/resource/" + n)
+                    : i % 3 == 1 ? Term::LangLiteral("label " + n, "en")
+                                 : Term::TypedLiteral(n, "http://ex/int"));
+    ASSERT_EQ(dict.Encode(terms.back()), static_cast<uint64_t>(i + 1));
+  }
+  const size_t before = dict.MemoryUsage();
+  constexpr int kThreads = 4, kRounds = 200;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<Term> held;
+      for (int r = 0; r < kRounds; ++r) {
+        for (uint64_t id = 1; id <= terms.size(); ++id) {
+          auto term = dict.Decode(id);
+          if (!term.ok() || *term != terms[id - 1] ||
+              term->ToNTriples() != terms[id - 1].ToNTriples()) {
+            mismatches.fetch_add(1);
+          }
+          Term copy = *term;
+          held.push_back(std::move(copy));
+        }
+        if (held.size() > 256) held.clear();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Decoding copied no strings: the dictionary retains what it did before.
+  EXPECT_EQ(dict.MemoryUsage(), before);
+  auto decoded = dict.Decode(1);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(&decoded->lexical(), &terms[0].lexical());
 }
 
 }  // namespace

@@ -551,5 +551,45 @@ TEST_F(StoreTest, DphProbeProfileShowsPushedPredicates) {
   EXPECT_EQ(profile.find("Filter"), std::string::npos) << profile;
 }
 
+TEST_F(StoreTest, Lq9DphJoinsEmitOnlyColumnsReadAbove) {
+  // Each DPH probe of LQ9 reads one or two of the stored columns above the
+  // join (Figure 13's CTEs keep the entry or a value column); the rest are
+  // tested in place or not read at all, so they are not emitted.
+  benchdata::Workload lubm = benchdata::MakeLubm(1, 7);
+  auto store = RdfStore::Load(lubm.graph);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  std::string lq9;
+  for (const auto& q : lubm.queries) {
+    if (q.id == "LQ9") lq9 = q.sparql;
+  }
+  ASSERT_FALSE(lq9.empty());
+  auto dph = (*store)->database().catalog().GetTable("dph");
+  ASSERT_TRUE(dph.ok()) << dph.status().ToString();
+  const size_t dph_columns = (*dph)->schema().num_columns();
+  for (int threads : {1, 4}) {
+    QueryOptions opts;
+    opts.max_threads = threads;
+    opts.morsel_rows = 2;
+    auto ex = (*store)->Explain(lq9, opts);
+    ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+    const std::string& profile = ex->exec_stats;
+    size_t joins = 0;
+    for (size_t at = profile.find("IndexNLJoin(dph)");
+         at != std::string::npos;
+         at = profile.find("IndexNLJoin(dph)", at + 1)) {
+      const std::string line =
+          profile.substr(at, profile.find('\n', at) - at);
+      const size_t cols = line.find(" cols=");
+      ASSERT_NE(cols, std::string::npos) << line;
+      const size_t slash = line.find('/', cols);
+      const int emitted = std::stoi(line.substr(cols + 6, slash - cols - 6));
+      EXPECT_LE(emitted, 2) << line;
+      EXPECT_EQ(std::stoul(line.substr(slash + 1)), dph_columns) << line;
+      ++joins;
+    }
+    EXPECT_GE(joins, 2u) << profile;
+  }
+}
+
 }  // namespace
 }  // namespace rdfrel::store
