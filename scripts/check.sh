@@ -19,8 +19,7 @@
 #       morsel-driven parallel executor suite (ParallelTest): dispenser /
 #       shared-build / arena primitives plus serial-vs-parallel
 #       differentials, so executor data races fail the gate — the Serve
-#       suite, so the endpoint's worker pool races fail it too — and the
-#       ShardTest suite, so scatter-gather coordinator races fail it.
+#       suite, so the endpoint's worker pool races fail it too.
 #   4.  Debug + AddressSanitizer build, running the full ctest suite.
 #   5.  UndefinedBehaviorSanitizer build with recovery disabled, running
 #       the full suite: any UB (signed overflow, bad shifts, misaligned
@@ -33,12 +32,7 @@
 #       --smoke) starts a real server, queries it over a socket, and shuts
 #       it down cleanly — under ASan, so leaked fds/threads/buffers in the
 #       serving path fail the gate.
-#   8.  Shard smoke: the sharded scatter-gather walkthrough
-#       (examples/shard_demo smoke) checks the canonical merge order across
-#       shard counts and a persistence round trip (routed insert,
-#       multi-shard checkpoint, reopen) — under ASan, so leaks in the
-#       coordinator/gather path fail the gate.
-#   9.  Release bench smoke: bench_micro_star and bench_serve at a reduced
+#   8.  Release bench smoke: bench_micro_star and bench_serve at a reduced
 #       scale must run to completion and emit machine-readable
 #       BENCH_sql.json / BENCH_serve.json.
 #
@@ -51,11 +45,11 @@ cd "$(dirname "$0")/.."
 
 JOBS="${1:-$(nproc)}"
 
-echo "== [0/9] Clang thread-safety analysis =="
+echo "== [0/8] Clang thread-safety analysis =="
 scripts/check_thread_safety.sh
 
 echo
-echo "== [1/9] Project lint: rdfrel-lint fixtures + src/ sweep =="
+echo "== [1/8] Project lint: rdfrel-lint fixtures + src/ sweep =="
 # lint.sh builds the tool from the default build tree; configure it first
 # so the compile database exists even on a fresh checkout.
 if [[ ! -f build/compile_commands.json ]]; then
@@ -64,19 +58,19 @@ fi
 scripts/lint.sh
 
 echo
-echo "== [2/9] Flake gate: repeated parallel runs of race-prone tests =="
+echo "== [2/8] Flake gate: repeated parallel runs of race-prone tests =="
 cmake --build build -j"${JOBS}"
 (cd build && ctest --output-on-failure -j"${JOBS}" --repeat until-fail:5 \
     -R 'Differential|Reference|Suppression|JoinBoundary|IndexPostingsTest|IndexJoinPushdown|ParallelTest|PersistTestWal')
 
 echo
-echo "== [3/9] ThreadSanitizer: concurrency + parallel + serve + shard =="
+echo "== [3/8] ThreadSanitizer: concurrency + parallel + serve =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRDFREL_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"${JOBS}" \
   --target concurrency_test util_test parallel_test parallel_pool_test \
-  serve_test shard_test
+  serve_test
 # TSan aborts the process on a race, so a clean exit means no reports.
 # ParallelTest covers the morsel dispenser, shared join build, per-query
 # arenas, the serial-vs-parallel differential suite across backends, and
@@ -84,10 +78,10 @@ cmake --build build-tsan -j"${JOBS}" \
 # two-worker pool;
 # Serve exercises the endpoint's acceptor/worker handoff and shutdown.
 (cd build-tsan && ctest --output-on-failure -j"${JOBS}" \
-    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|ParallelTest|Serve|ShardTest')
+    -R 'ConcurrencyTest|PlanCacheTest|UniformInterfaceTest|LruCacheTest|ParallelTest|Serve')
 
 echo
-echo "== [4/9] Debug + AddressSanitizer: full suite =="
+echo "== [4/8] Debug + AddressSanitizer: full suite =="
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRDFREL_SANITIZE=address > /dev/null
@@ -95,7 +89,7 @@ cmake --build build-asan -j"${JOBS}"
 (cd build-asan && ctest --output-on-failure -j"${JOBS}")
 
 echo
-echo "== [5/9] UndefinedBehaviorSanitizer: full suite =="
+echo "== [5/8] UndefinedBehaviorSanitizer: full suite =="
 cmake -B build-ubsan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRDFREL_SANITIZE=undefined > /dev/null
@@ -105,14 +99,14 @@ cmake --build build-ubsan -j"${JOBS}"
 (cd build-ubsan && ctest --output-on-failure -j"${JOBS}")
 
 echo
-echo "== [6/9] Crash-recovery gate: PersistTest under ASan and UBSan =="
+echo "== [6/8] Crash-recovery gate: PersistTest under ASan and UBSan =="
 # The trees were built above; this re-runs just the persistence layer so
 # durability failures surface as their own stage.
 (cd build-asan && ctest --output-on-failure -j"${JOBS}" -R 'PersistTest')
 (cd build-ubsan && ctest --output-on-failure -j"${JOBS}" -R 'PersistTest')
 
 echo
-echo "== [7/9] Serve smoke: HTTP endpoint under ASan =="
+echo "== [7/8] Serve smoke: HTTP endpoint under ASan =="
 # serve_demo --smoke starts a server on an ephemeral port, runs GET/POST
 # queries, a deadline query, a malformed query, and /stats over a real
 # socket, then stops the server; ASan turns any leak in the serving path
@@ -121,15 +115,7 @@ cmake --build build-asan -j"${JOBS}" --target serve_demo
 ./build-asan/examples/serve_demo --smoke
 
 echo
-echo "== [8/9] Shard smoke: scatter-gather + manifest round trip under ASan =="
-# shard_demo smoke loads the built-in graph at shard counts {1,3}, checks
-# the canonical merge order is identical, then routes an insert, takes a
-# multi-shard checkpoint and reopens the directory.
-cmake --build build-asan -j"${JOBS}" --target shard_demo
-./build-asan/examples/shard_demo smoke
-
-echo
-echo "== [9/9] Release bench smoke: BENCH_sql.json + BENCH_serve.json =="
+echo "== [8/8] Release bench smoke: BENCH_sql.json + BENCH_serve.json =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j"${JOBS}" --target bench_micro_star bench_serve
 (cd build-release &&

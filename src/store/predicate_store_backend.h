@@ -45,9 +45,6 @@ class PredicateStoreBackend final : public SparqlStore {
   static Result<std::unique_ptr<PredicateStoreBackend>> Open(
       const std::string& dir, const PersistOptions& persist_opts = {},
       const PredicateStoreOptions& options = {});
-  static Result<std::unique_ptr<PredicateStoreBackend>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const PredicateStoreOptions& options);
 
   /// Writes the initial snapshot generation into \p dir.
   Status EnablePersistence(const std::string& dir,

@@ -73,12 +73,6 @@ class RdfStore final : public SparqlStore {
       const std::string& dir, const PersistOptions& persist_opts = {},
       const RdfStoreOptions& options = {});
 
-  /// Recovery entry point shared with the store::OpenStore dispatcher:
-  /// rebuilds a store from an already-scanned RecoveryPlan.
-  static Result<std::unique_ptr<RdfStore>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const RdfStoreOptions& options);
-
   /// Attaches durability to this (so far in-memory) store: writes the
   /// initial snapshot generation into \p dir and starts logging every
   /// committed mutation to its WAL.

@@ -43,9 +43,6 @@ class TripleStoreBackend final : public SparqlStore {
   static Result<std::unique_ptr<TripleStoreBackend>> Open(
       const std::string& dir, const PersistOptions& persist_opts = {},
       const TripleStoreOptions& options = {});
-  static Result<std::unique_ptr<TripleStoreBackend>> OpenFromPlan(
-      persist::RecoveryPlan plan, const PersistOptions& persist_opts,
-      const TripleStoreOptions& options);
 
   /// Writes the initial snapshot generation into \p dir.
   Status EnablePersistence(const std::string& dir,
