@@ -32,6 +32,13 @@ Workload MakePrbench(uint64_t num_projects, uint64_t seed) {
                  const std::string& v) {
     w.graph.Add({s, R(p), rdf::Term::Literal(v)});
   };
+  // Estimates are xsd:integer, so FILTER (?e > 30) compares numbers.
+  auto Int = [&](const rdf::Term& s, const std::string& p, uint64_t v) {
+    w.graph.Add({s, R(p),
+                 rdf::Term::TypedLiteral(
+                     std::to_string(v),
+                     "http://www.w3.org/2001/XMLSchema#integer")});
+  };
 
   constexpr int kUsersPerProject = 5;
   constexpr int kReqs = 20, kCrs = 60, kTests = 30, kWorkItems = 40,
@@ -101,7 +108,7 @@ Workload MakePrbench(uint64_t num_projects, uint64_t seed) {
       if (rng.Bernoulli(0.5)) {
         Add(item, "relatedChangeRequest", crs[rng.Uniform(crs.size())]);
       }
-      Lit(item, "estimate", std::to_string(1 + rng.Uniform(40)));
+      Int(item, "estimate", 1 + rng.Uniform(40));
     }
 
     for (int b = 0; b < kBuilds; ++b) {

@@ -8,6 +8,7 @@ namespace {
 constexpr const char* kNs = "http://sp2b/";
 constexpr const char* kRdfType =
     "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+constexpr const char* kXsdInteger = "http://www.w3.org/2001/XMLSchema#integer";
 }  // namespace
 
 Workload MakeSp2Bench(uint64_t years, uint64_t seed) {
@@ -28,6 +29,12 @@ Workload MakeSp2Bench(uint64_t years, uint64_t seed) {
                  const std::string& v) {
     w.graph.Add({s, R(p), rdf::Term::Literal(v)});
   };
+  // Years and page counts are xsd:integer, as in SP2Bench's own data, so
+  // the FILTERs on them compare numbers.
+  auto Int = [&](const rdf::Term& s, const std::string& p, uint64_t v) {
+    w.graph.Add({s, R(p), rdf::Term::TypedLiteral(std::to_string(v),
+                                                  kXsdInteger)});
+  };
 
   constexpr int kAuthorsPool = 200;
   constexpr int kArticlesPerYear = 25;
@@ -47,12 +54,12 @@ Workload MakeSp2Bench(uint64_t years, uint64_t seed) {
     rdf::Term journal = R("Journal" + std::to_string(y));
     Type(journal, "Journal");
     Lit(journal, "title", "Journal 1 (" + year + ")");
-    Lit(journal, "year", year);
+    Int(journal, "year", 1940 + y);
 
     rdf::Term proc = R("Proceedings" + std::to_string(y));
     Type(proc, "Proceedings");
     Lit(proc, "title", "Proceedings (" + year + ")");
-    Lit(proc, "year", year);
+    Int(proc, "year", 1940 + y);
 
     for (int a = 0; a < kArticlesPerYear; ++a) {
       rdf::Term art = R("Article" + std::to_string(y) + "_" +
@@ -60,8 +67,8 @@ Workload MakeSp2Bench(uint64_t years, uint64_t seed) {
       Type(art, "Article");
       Add(art, "journal", journal);
       Lit(art, "title", "Article " + std::to_string(a) + " of " + year);
-      Lit(art, "year", year);
-      Lit(art, "pages", std::to_string(1 + rng.Uniform(400)));
+      Int(art, "year", 1940 + y);
+      Int(art, "pages", 1 + rng.Uniform(400));
       int nauthors = 1 + static_cast<int>(rng.Uniform(3));
       for (int c = 0; c < nauthors; ++c) {
         Add(art, "creator", persons[rng.Uniform(persons.size())]);
@@ -87,10 +94,10 @@ Workload MakeSp2Bench(uint64_t years, uint64_t seed) {
       Type(inp, "Inproceedings");
       Add(inp, "partOf", proc);
       Lit(inp, "title", "Inproc " + std::to_string(i) + " of " + year);
-      Lit(inp, "year", year);
+      Int(inp, "year", 1940 + y);
       Add(inp, "creator", persons[rng.Uniform(persons.size())]);
       if (rng.Bernoulli(0.5)) {
-        Lit(inp, "pages", std::to_string(1 + rng.Uniform(20)));
+        Int(inp, "pages", 1 + rng.Uniform(20));
       }
     }
     // Editor of each proceedings.

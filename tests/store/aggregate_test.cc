@@ -16,13 +16,16 @@ rdf::Graph CompanyGraph() {
   rdf::Graph g;
   auto iri = [](const std::string& s) { return Term::Iri("http://a/" + s); };
   auto lit = [](const std::string& s) { return Term::Literal(s); };
+  auto integer = [](const std::string& s) {
+    return Term::TypedLiteral(s, "http://www.w3.org/2001/XMLSchema#integer");
+  };
   // Two industries; employee counts are numeric literals.
   g.Add({iri("IBM"), iri("industry"), lit("tech")});
-  g.Add({iri("IBM"), iri("employees"), lit("300")});
+  g.Add({iri("IBM"), iri("employees"), integer("300")});
   g.Add({iri("Google"), iri("industry"), lit("tech")});
-  g.Add({iri("Google"), iri("employees"), lit("200")});
+  g.Add({iri("Google"), iri("employees"), integer("200")});
   g.Add({iri("Shell"), iri("industry"), lit("energy")});
-  g.Add({iri("Shell"), iri("employees"), lit("90")});
+  g.Add({iri("Shell"), iri("employees"), integer("90")});
   g.Add({iri("BP"), iri("industry"), lit("energy")});
   // BP has no employee count.
   return g;
