@@ -785,7 +785,9 @@ class CorePlanner {
   static Scope EmittedScope(const PendingSource& src,
                             const std::vector<int>& cols) {
     Scope s;
-    for (int c : cols) s.Add(src.alias, src.scope.column(c).second);
+    for (int c : cols) {
+      s.Add(src.alias, src.scope.column(static_cast<size_t>(c)).second);
+    }
     return s;
   }
 

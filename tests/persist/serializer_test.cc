@@ -151,7 +151,7 @@ TEST(PersistTestSerializer, TableIndexesOpenWhateverKindByte) {
   // The kind byte follows the index's column name ("id", length-prefixed).
   const size_t kind_at = bytes.find("t_id") + 4 + 4 + 2;
   ASSERT_LT(kind_at, bytes.size());
-  for (uint8_t kind : {0, 1, 7}) {
+  for (int kind : {0, 1, 7}) {
     std::string patched = bytes;
     patched[kind_at] = static_cast<char>(kind);
     ByteReader r(patched);

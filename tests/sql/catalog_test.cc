@@ -171,9 +171,9 @@ TEST_P(IndexPostingsTest, DeleteReinsertKeepsPostingsExact) {
 INSTANTIATE_TEST_SUITE_P(
     KeyTypes, IndexPostingsTest,
     ::testing::Values(ValueType::kInt64, ValueType::kString),
-    [](const ::testing::TestParamInfo<ValueType>& info) {
-      return std::string(info.param == ValueType::kInt64 ? "Int64"
-                                                         : "String");
+    [](const ::testing::TestParamInfo<ValueType>& param_info) {
+      return std::string(param_info.param == ValueType::kInt64 ? "Int64"
+                                                               : "String");
     });
 
 TEST(TableTest, NullKeysNotIndexed) {
