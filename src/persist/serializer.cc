@@ -364,9 +364,13 @@ Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog) {
   return Status::OK();
 }
 
-std::string EncodeCatalog(const sql::Catalog& catalog) {
+std::string EncodeCatalog(const sql::Catalog& catalog,
+                          const std::set<std::string>& skip) {
   std::string out;
   std::vector<std::string> names = catalog.TableNames();
+  std::erase_if(names, [&skip](const std::string& name) {
+    return skip.count(name) > 0;
+  });
   PutU32(&out, static_cast<uint32_t>(names.size()));
   for (const auto& name : names) {
     EncodeTable(&out, *catalog.GetTable(name).value());

@@ -17,6 +17,7 @@
 ///    load by replaying rows through Table::CreateIndex.
 
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,8 +68,10 @@ void EncodeTable(std::string* out, const sql::Table& table);
 /// Recreates one table (schema, rows, then indexes) inside \p catalog.
 Status DecodeTableInto(ByteReader* r, sql::Catalog* catalog);
 
-/// All tables of \p catalog, in name order.
-std::string EncodeCatalog(const sql::Catalog& catalog);
+/// All tables of \p catalog but those named in \p skip (derived tables the
+/// owner rebuilds on recovery), in name order.
+std::string EncodeCatalog(const sql::Catalog& catalog,
+                          const std::set<std::string>& skip = {});
 Status DecodeCatalogInto(std::string_view payload, sql::Catalog* catalog);
 
 }  // namespace rdfrel::persist

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 namespace rdfrel::rdf {
 namespace {
 
@@ -75,6 +79,39 @@ TEST(TermTest, OrderingIsTotal) {
 TEST(TripleTest, ToNTriples) {
   Triple t{Term::Iri("s"), Term::Iri("p"), Term::Literal("o")};
   EXPECT_EQ(t.ToNTriples(), "<s> <p> \"o\" .");
+}
+
+TEST(TermTest, NumericValueFollowsXsdLexicalSpace) {
+  const std::string xsd = "http://www.w3.org/2001/XMLSchema#";
+  auto num = [&](const std::string& lex, const std::string& type) {
+    return NumericValue(Term::TypedLiteral(lex, xsd + type));
+  };
+  EXPECT_EQ(num("5", "integer"), 5.0);
+  EXPECT_EQ(num("+5", "int"), 5.0);
+  EXPECT_EQ(num("-12", "long"), -12.0);
+  EXPECT_EQ(num("2.5", "decimal"), 2.5);
+  EXPECT_EQ(num(".5", "decimal"), 0.5);
+  EXPECT_EQ(num("5.", "decimal"), 5.0);
+  EXPECT_EQ(num("1e3", "double"), 1000.0);
+  EXPECT_EQ(num("-2.5E-1", "float"), -0.25);
+  EXPECT_EQ(num("-INF", "double"), -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(*num("NaN", "double")));
+  // Ill-typed: outside the type's lexical space, so not a number.
+  for (const char* lex : {" 5", "5 ", "0x10", "inf", "INF", "NaN", "1e3",
+                          "2.5", "", "+", "-", "five"}) {
+    EXPECT_FALSE(num(lex, "integer").has_value()) << '"' << lex << '"';
+  }
+  for (const char* lex : {"1e3", ".", "INF", "1.2.3", "0x1p3"}) {
+    EXPECT_FALSE(num(lex, "decimal").has_value()) << '"' << lex << '"';
+  }
+  for (const char* lex : {"inf", "nan", "infinity", "1e", "e3", " 1"}) {
+    EXPECT_FALSE(num(lex, "double").has_value()) << '"' << lex << '"';
+  }
+  // Only XSD numeric types are numbers; "5" alone is a string.
+  EXPECT_FALSE(NumericValue(Term::Literal("5")).has_value());
+  EXPECT_FALSE(
+      NumericValue(Term::TypedLiteral("5", xsd + "string")).has_value());
+  EXPECT_FALSE(NumericValue(Term::Iri("5")).has_value());
 }
 
 }  // namespace
