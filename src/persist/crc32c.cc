@@ -29,8 +29,8 @@ const std::array<uint32_t, 256>& Table() {
 uint32_t Crc32c(std::string_view data, uint32_t init) {
   const auto& table = Table();
   uint32_t crc = ~init;
-  for (unsigned char c : data) {
-    crc = table[(crc ^ c) & 0xFFu] ^ (crc >> 8);
+  for (char c : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
